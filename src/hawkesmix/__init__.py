@@ -8,7 +8,7 @@ config-based experiments over all of it.
 """
 
 from .events import EventSequence, load_events, save_events
-from .kernels import BetaMixture, ExcitationModel, beta_cdf, beta_pdf, beta_log_pdf, excitation_eval
+from .kernels import BetaMixture, ExcitationModel, beta_cdf, beta_pdf, beta_log_pdf
 from .params import HawkesParams, Hyperparams, load_params, save_params
 from .pairs import PairData, build_pairs, candidate_parents
 from .likelihood import (
@@ -54,7 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EventSequence", "load_events", "save_events",
-    "BetaMixture", "ExcitationModel", "beta_cdf", "beta_pdf", "beta_log_pdf", "excitation_eval",
+    "BetaMixture", "ExcitationModel", "beta_cdf", "beta_pdf", "beta_log_pdf",
     "HawkesParams", "Hyperparams", "load_params", "save_params",
     "PairData", "build_pairs", "candidate_parents",
     "LatentState", "augmented_log_likelihood", "intensity", "log_likelihood", "spectral_radius",

@@ -62,14 +62,46 @@ def beta_cdf(t, a: float, b: float, T0: float):
     return out if out.ndim else float(out)
 
 
-def beta_log_pdf_grid(a: np.ndarray, b: np.ndarray, log_frac: np.ndarray, log1m_frac: np.ndarray, T0: float) -> np.ndarray:
-    """Log kernel densities for H components at M precomputed lags.
+def lag_design(t, T0: float) -> np.ndarray:
+    """(M, 3) design rows ``[log(t/T0), log(1 - t/T0), 1]`` for lags inside ``(0, T0)``.
 
-    ``log_frac`` and ``log1m_frac`` hold ``log(t/T0)`` and ``log(1 - t/T0)``
-    for lags strictly inside the support. Returns an (M, H) matrix.
+    Every kernel-density table in the package is this design times
+    coefficient rows from :func:`beta_log_coefs`.
     """
-    const = special.gammaln(a + b) - special.gammaln(a) - special.gammaln(b) - np.log(T0)
-    return const[None, :] + np.outer(log_frac, a - 1.0) + np.outer(log1m_frac, b - 1.0)
+    frac = np.asarray(t, dtype=float) / T0
+    return np.column_stack([np.log(frac), np.log1p(-frac), np.ones_like(frac)])
+
+
+def beta_log_coefs(a, b, T0: float) -> np.ndarray:
+    """Coefficient rows ``[a - 1; b - 1; log normaliser]`` of shape (3, *a.shape).
+
+    ``lag_design(t, T0) @ beta_log_coefs(a, b, T0)`` gives the log density
+    of each scaled Beta(a, b) component at each lag.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    log_norm = special.gammaln(a + b) - special.gammaln(a) - special.gammaln(b) - np.log(T0)
+    return np.stack([a - 1.0, b - 1.0, log_norm])
+
+
+def _blend_density(sides, t, T0: float):
+    """Sum of ``weight * mixture density`` over ``(weight, BetaMixture)`` sides.
+
+    The lag design is built once for all sides; sides with zero weight are
+    skipped. Returns 0 outside ``(0, T0)`` and a float for scalar ``t``.
+    """
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros_like(t)
+    inside = (t > 0.0) & (t < T0)
+    if np.any(inside):
+        design = lag_design(t[inside], T0)
+        vals = 0.0
+        for weight, mix in sides:
+            if weight > 0.0:
+                vals = vals + weight * (np.exp(design @ beta_log_coefs(mix.a, mix.b, T0)) @ mix.p)
+        out[inside] = vals
+    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -85,9 +117,9 @@ class BetaMixture:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.ascontiguousarray(self.p, dtype=float)
-        a = np.ascontiguousarray(self.a, dtype=float)
-        b = np.ascontiguousarray(self.b, dtype=float)
+        p = np.array(self.p, dtype=float)
+        a = np.array(self.a, dtype=float)
+        b = np.array(self.b, dtype=float)
         for name, arr in (("p", p), ("a", a), ("b", b)):
             object.__setattr__(self, name, arr)
             if arr.ndim != 1 or arr.shape != p.shape:
@@ -109,15 +141,7 @@ class BetaMixture:
 
     def density(self, t, T0: float):
         """Mixture density at lag(s) ``t``; 0 outside ``(0, T0)``."""
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(t)
-        inside = (t > 0.0) & (t < T0)
-        if np.any(inside):
-            ti = t[inside]
-            logf = beta_log_pdf_grid(self.a, self.b, np.log(ti / T0), np.log1p(-ti / T0), T0)
-            out[inside] = np.exp(logf) @ self.p
-        return float(out[0]) if scalar else out
+        return _blend_density(((1.0, self),), t, T0)
 
     def cdf(self, t, T0: float):
         scalar = np.ndim(t) == 0
@@ -166,11 +190,13 @@ class ExcitationModel:
         return self.T0
 
     def density(self, parent_dim: int, child_dim: int, t):
-        """Blended excitation density for the (parent, child) pair at lag t."""
+        """Blended excitation density for the (parent, child) pair at lag t.
+
+        A blend side with zero weight is not evaluated.
+        """
         self._check_dims(parent_dim, child_dim)
-        common = self.common.density(t, self.T0)
-        idio = self.idio[parent_dim][child_dim].density(t, self.T0)
-        return self.eps * common + (1.0 - self.eps) * idio
+        sides = ((self.eps, self.common), (1.0 - self.eps, self.idio[parent_dim][child_dim]))
+        return _blend_density(sides, t, self.T0)
 
     def cdf(self, parent_dim: int, child_dim: int, t):
         self._check_dims(parent_dim, child_dim)
@@ -231,7 +257,3 @@ class ExcitationModel:
         )
         return cls(eps=float(eps), common=common, idio=idio, T0=float(T0))
 
-
-def excitation_eval(model: ExcitationModel, parent_dim: int, child_dim: int, t):
-    """Blended excitation density; thin functional wrapper over the model."""
-    return model.density(parent_dim, child_dim, t)

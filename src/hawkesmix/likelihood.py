@@ -144,29 +144,42 @@ def intensity(params: HawkesParams, seq: EventSequence, k: int, t: float) -> flo
     return rate
 
 
-def _compensator_cdf_sums(params: HawkesParams, seq: EventSequence) -> np.ndarray:
-    """(K, K) matrix of summed kernel integrals over remaining horizons.
+def compensator_terms(seq: EventSequence, excitation, mode: str) -> np.ndarray:
+    """(K, K) summed kernel integrals over the remaining horizons.
 
-    Entry (p, c) is the sum over events on dimension p of the (p, c) kernel
-    CDF at ``T - t_i``. Only events within ``T0`` of the horizon have CDF
-    below 1, so the sums start from the per-dimension counts and subtract
-    tail corrections.
+    Entry (p, c) sums, over events on dimension p, the (p, c) kernel CDF at
+    ``T - t_i`` (``"exact"``) or 1 (``"approx"``). Only events within the
+    kernel support of the horizon have CDF below 1, so the exact sums start
+    from the per-dimension counts and subtract tail corrections. These are
+    the rate increments of the interaction full conditionals and the
+    compensator weights of ``alpha`` in the log-likelihood.
     """
-    exc = params.excitation
-    K = params.K
+    _check_compensator(mode)
+    K = seq.K
     out = np.tile(seq.counts().astype(float)[:, None], (1, K))
-    tail = np.flatnonzero(seq.times > seq.T - exc.max_lag)
-    for i in tail:
-        p = int(seq.dims[i])
-        rem = seq.T - seq.times[i]
+    if mode == "approx":
+        return out
+    if excitation is None:
+        raise ValueError("exact compensator terms need the excitation model")
+    tail = seq.times > seq.T - excitation.max_lag
+    for p in range(K):
+        rem = seq.T - seq.times[tail & (seq.dims == p)]
         for c in range(K):
-            out[p, c] -= 1.0 - float(exc.cdf(p, c, rem))
+            out[p, c] -= float(np.sum(1.0 - excitation.cdf(p, c, rem)))
     return out
 
 
 def _check_compensator(mode: str) -> None:
     if mode not in COMPENSATOR_MODES:
         raise ValueError(f"compensator must be one of {COMPENSATOR_MODES}, got {mode!r}")
+
+
+def pair_density(excitation, pairs: PairData) -> np.ndarray:
+    """Excitation density at every pair lag, one call per (parent dim, child dim) group."""
+    out = np.empty(pairs.m)
+    for g, rows in pairs.groups():
+        out[rows] = excitation.density(g // pairs.K, g % pairs.K, pairs.lag[rows])
+    return out
 
 
 def log_likelihood(params: HawkesParams, seq: EventSequence, compensator: str = "exact",
@@ -178,21 +191,12 @@ def log_likelihood(params: HawkesParams, seq: EventSequence, compensator: str = 
         pairs = build_pairs(seq, exc.max_lag)
     lam = params.mu[seq.dims].astype(float)
     if pairs.m:
-        dens = np.empty(pairs.m)
-        for p in range(params.K):
-            for c in range(params.K):
-                sel = (pairs.parent_dim == p) & (pairs.child_dim == c)
-                if np.any(sel):
-                    dens[sel] = params.alpha[p, c] * exc.density(p, c, pairs.lag[sel])
+        dens = params.alpha.reshape(-1)[pairs.kl] * pair_density(exc, pairs)
         lam += np.bincount(pairs.child, weights=dens, minlength=seq.n)
     if np.any(lam <= 0):
         raise FloatingPointError("conditional intensity vanished at an event time")
     total = float(np.sum(np.log(lam))) - float(np.sum(params.mu)) * seq.T
-    if compensator == "exact":
-        comp = _compensator_cdf_sums(params, seq)
-    else:
-        comp = np.tile(seq.counts().astype(float)[:, None], (1, params.K))
-    total -= float(np.sum(params.alpha * comp))
+    total -= float(np.sum(params.alpha * compensator_terms(seq, exc, compensator)))
     return total
 
 
@@ -246,11 +250,7 @@ def augmented_log_likelihood(params: HawkesParams, seq: EventSequence, latent: L
         else:
             a, b = arrs["a0"][latent.z[j]], arrs["b0"][latent.z[j]]
         total += beta_log_pdf(lag, float(a), float(b), exc.T0)
-    if compensator == "exact":
-        comp = _compensator_cdf_sums(params, seq)
-    else:
-        comp = np.tile(seq.counts().astype(float)[:, None], (1, params.K))
-    total -= float(np.sum(params.alpha * comp))
+    total -= float(np.sum(params.alpha * compensator_terms(seq, exc, compensator)))
     return total
 
 

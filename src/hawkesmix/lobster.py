@@ -163,7 +163,8 @@ def build_event_sequence(messages: list[LobsterMessage], cfg: IngestConfig,
     matches the preceding row while an improving submission only matches
     its own. Times are rebased to the session start; exact ties get a
     one-nanosecond ascending jitter (cascading so the output stays strictly
-    increasing). The horizon is the session length.
+    increasing), and ties at the session end are spread one nanosecond apart
+    downward from the horizon instead. The horizon is the session length.
     """
     if quotes is not None and len(quotes) != len(messages):
         raise ValueError("orderbook rows must align one-to-one with messages")
@@ -191,8 +192,15 @@ def build_event_sequence(messages: list[LobsterMessage], cfg: IngestConfig,
     if not times:
         logger.warning("ingestion produced an empty sequence")
     t = np.asarray(times)
+    T = cfg.session_end - cfg.session_start
     for i in range(1, t.size):
         if t[i] <= t[i - 1]:
             t[i] = t[i - 1] + 1e-9
-    return EventSequence(t, np.asarray(dims, dtype=np.int64),
-                         cfg.session_end - cfg.session_start, 4)
+    # ties at the session end: pull the jittered tail back below the horizon
+    cap = T
+    for i in range(t.size - 1, -1, -1):
+        if t[i] <= cap:
+            break
+        t[i] = cap
+        cap -= 1e-9
+    return EventSequence(t, np.asarray(dims, dtype=np.int64), T, 4)

@@ -19,10 +19,10 @@ import numpy as np
 from scipy import special
 
 from .events import EventSequence
-from .kernels import ExcitationModel, beta_log_pdf_grid
-from .likelihood import LatentState
-from .params import Hyperparams
-from .pairs import PairData, build_pairs, segment_max
+from .kernels import ExcitationModel, beta_log_coefs, lag_design
+from .likelihood import LatentState, compensator_terms, log_likelihood, pair_density
+from .params import HawkesParams, Hyperparams
+from .pairs import PairData, build_pairs, group_rows, iter_groups, parent_softmax
 
 VARIANTS = ("RANDOM", "IDIO", "COMMON")
 
@@ -126,23 +126,6 @@ def weight_full_conditionals(hyper: Hyperparams, n0: np.ndarray, nkl: np.ndarray
     return dir0, dirkl, eps_beta
 
 
-def compensator_terms(seq: EventSequence, model: ExcitationModel | None, mode: str) -> np.ndarray:
-    """(K, K) rate increments of the interaction full conditionals."""
-    K = seq.K
-    out = np.tile(seq.counts().astype(float)[:, None], (1, K))
-    if mode == "approx":
-        return out
-    if model is None:
-        raise ValueError("exact compensator terms need the excitation model")
-    tail = np.flatnonzero(seq.times > seq.T - model.T0)
-    for i in tail:
-        p = int(seq.dims[i])
-        rem = seq.T - seq.times[i]
-        for c in range(K):
-            out[p, c] -= 1.0 - float(model.cdf(p, c, rem))
-    return out
-
-
 def branching_distribution(mu: np.ndarray, alpha: np.ndarray, model: ExcitationModel,
                            seq: EventSequence, j: int) -> np.ndarray:
     """Parent distribution of event j: immigrant first, then candidates.
@@ -169,10 +152,9 @@ def allocation_distribution(eps: float, p0: np.ndarray, a0: np.ndarray, b0: np.n
     Returns the common-side and idiosyncratic-side cell probabilities; the
     two blocks sum to one jointly.
     """
-    lf = np.log(lag / T0)
-    l1f = np.log1p(-lag / T0)
-    logc = np.log(eps) + np.log(p0) + beta_log_pdf_grid(a0, b0, np.array([lf]), np.array([l1f]), T0)[0] if eps > 0 else np.full(p0.size, -np.inf)
-    logi = np.log1p(-eps) + np.log(pk) + beta_log_pdf_grid(ak, bk, np.array([lf]), np.array([l1f]), T0)[0] if eps < 1 else np.full(pk.size, -np.inf)
+    design = lag_design(np.array([lag]), T0)
+    logc = np.log(eps) + np.log(p0) + (design @ beta_log_coefs(a0, b0, T0))[0] if eps > 0 else np.full(p0.size, -np.inf)
+    logi = np.log1p(-eps) + np.log(pk) + (design @ beta_log_coefs(ak, bk, T0))[0] if eps < 1 else np.full(pk.size, -np.inf)
     top = max(logc.max(), logi.max())
     wc, wi = np.exp(logc - top), np.exp(logi - top)
     total = wc.sum() + wi.sum()
@@ -211,9 +193,7 @@ class McmcSampler:
         self.rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
         K, h0, h = seq.K, config.h0, config.h
         hyper = config.hyper
-        nk = seq.counts().astype(float)
-        self.nk = nk
-        self.mu = nk / (2.0 * seq.T)
+        self.mu = seq.counts() / (2.0 * seq.T)
         self.alpha = np.full((K, K), 0.5 / K)
         if config.variant == "IDIO":
             self.eps = 0.0
@@ -237,71 +217,6 @@ class McmcSampler:
         self.mh_attempted = 0
         self._win_accepted = 0
         self._win_attempted = 0
-        self._logf_cache: tuple[np.ndarray | None, np.ndarray | None] | None = None
-        m = self.pairs.m
-        self._buf_common = np.empty((m, h0))
-        self._tmp_common = np.empty((m, h0))
-        self._exp_common = np.empty((m, h0))
-        self._buf_idio = np.empty((m, h))
-        self._tmp_idio = np.empty((m, h))
-        self._exp_idio = np.empty((m, h))
-
-    # -- kernel density tables -------------------------------------------
-
-    def _log_density_tables(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Per-pair log kernel densities for every mixture component.
-
-        Returns (M, H0) and (M, H) matrices; either is None when its blend
-        side carries no weight under the variant. Buffers are reused across
-        sweeps and rebuilt in place whenever the shapes change.
-        """
-        if self._logf_cache is not None:
-            return self._logf_cache
-        pr = self.pairs
-        log_t0 = np.log(pr.T0)
-        logf0 = None
-        logfkl = None
-        ls = pr.log_lag_frac[:, None]
-        l1ms = pr.log1m_lag_frac[:, None]
-        if self.eps > 0.0:
-            buf = self._buf_common
-            np.multiply(ls, (self.a0 - 1.0)[None, :], out=buf)
-            tmp = self._tmp_common
-            np.multiply(l1ms, (self.b0 - 1.0)[None, :], out=tmp)
-            buf += tmp
-            buf += (special.gammaln(self.a0 + self.b0) - special.gammaln(self.a0)
-                    - special.gammaln(self.b0) - log_t0)[None, :]
-            logf0 = buf
-        if self.eps < 1.0:
-            const = (special.gammaln(self.akl + self.bkl) - special.gammaln(self.akl)
-                     - special.gammaln(self.bkl) - log_t0)
-            buf = self._buf_idio
-            np.subtract(self.akl[pr.kl], 1.0, out=buf)
-            buf *= ls
-            tmp = self._tmp_idio
-            np.subtract(self.bkl[pr.kl], 1.0, out=tmp)
-            tmp *= l1ms
-            buf += tmp
-            buf += const[pr.kl]
-            logfkl = buf
-        self._logf_cache = (logf0, logfkl)
-        return self._logf_cache
-
-    def _invalidate_tables(self) -> None:
-        self._logf_cache = None
-
-    def _pair_mixture_density(self) -> np.ndarray:
-        """Blended excitation density at every admissible pair lag."""
-        logf0, logfkl = self._log_density_tables()
-        phi = np.zeros(self.pairs.m)
-        if logf0 is not None:
-            np.exp(logf0, out=self._exp_common)
-            phi += self.eps * (self._exp_common @ self.p0)
-        if logfkl is not None:
-            np.exp(logfkl, out=self._exp_idio)
-            phi += (1.0 - self.eps) * np.einsum("mh,mh->m", self._exp_idio,
-                                                self.pkl[self.pairs.kl])
-        return phi
 
     # -- block updates ----------------------------------------------------
 
@@ -313,20 +228,16 @@ class McmcSampler:
         conditions on the new parents, so the two blocks form one joint
         update.
         """
-        pr, seq, n = self.pairs, self.seq, self.seq.n
-        with np.errstate(divide="ignore"):
-            imm_score = np.log(self.mu[seq.dims])
+        pr, n = self.pairs, self.seq.n
         if pr.m == 0:
             self.parent.fill(-1)
             self.pair_row.fill(-1)
             return
         with np.errstate(divide="ignore"):
-            scores = np.log(self.alpha.reshape(-1)[pr.kl]) + np.log(self._pair_mixture_density())
-        # per-child max for log-space stabilization
-        seg_max = segment_max(scores, pr.child_start, imm_score)
-        w = np.exp(scores - seg_max[pr.child])
-        imm_w = np.exp(imm_score - seg_max)
-        tot = imm_w + np.bincount(pr.child, weights=w, minlength=n)
+            imm_score = np.log(self.mu[self.seq.dims])
+            scores = (np.log(self.alpha.reshape(-1)[pr.kl])
+                      + np.log(pair_density(self._excitation_model(), pr)))
+        w, imm_w, tot = parent_softmax(scores, imm_score, pr)
         u = self.rng.random(n) * tot
         cum = np.concatenate([[0.0], np.cumsum(w)])
         starts = pr.child_start[:-1]
@@ -346,19 +257,18 @@ class McmcSampler:
         if assigned.size == 0:
             return
         rows = self.pair_row[assigned]
-        logf0, logfkl = self._log_density_tables()
-        h0, h = self.cfg.h0, self.cfg.h
-        blocks = []
+        h0, K, t0 = self.cfg.h0, self.seq.K, self.cfg.t0
+        design = lag_design(self.pairs.lag[rows], t0)
+        scores = np.full((assigned.size, h0 + self.cfg.h), -np.inf)
         with np.errstate(divide="ignore"):
-            if logf0 is not None:
-                blocks.append(np.log(self.eps) + np.log(self.p0)[None, :] + logf0[rows])
-            else:
-                blocks.append(np.full((assigned.size, h0), -np.inf))
-            if logfkl is not None:
-                blocks.append(np.log1p(-self.eps) + np.log(self.pkl[self.pairs.kl[rows]]) + logfkl[rows])
-            else:
-                blocks.append(np.full((assigned.size, h), -np.inf))
-        scores = np.concatenate(blocks, axis=1)
+            if self.eps > 0.0:
+                scores[:, :h0] = (np.log(self.eps) + np.log(self.p0)
+                                  + design @ beta_log_coefs(self.a0, self.b0, t0))
+            if self.eps < 1.0:
+                log_w = np.log1p(-self.eps) + np.log(self.pkl)
+                coefs = beta_log_coefs(self.akl, self.bkl, t0)
+                for g, sel in iter_groups(*group_rows(self.pairs.kl[rows], K * K)):
+                    scores[sel, h0:] = log_w[g] + design[sel] @ coefs[:, g]
         top = scores.max(axis=1, keepdims=True)
         weights = np.exp(scores - top)
         cum = np.cumsum(weights, axis=1)
@@ -444,7 +354,6 @@ class McmcSampler:
         self.mh_attempted += att
         self._win_accepted += acc
         self._win_attempted += att
-        self._invalidate_tables()
 
     def sample_weights(self) -> None:
         """Conjugate Dirichlet/Beta draws for mixture and blend weights."""
@@ -499,14 +408,8 @@ class McmcSampler:
 
     def observed_loglik(self) -> float:
         """Observed-data log-likelihood under the configured compensator."""
-        seq, pr = self.seq, self.pairs
-        lam = self.mu[seq.dims].astype(float)
-        if pr.m:
-            dens = self.alpha.reshape(-1)[pr.kl] * self._pair_mixture_density()
-            lam += np.bincount(pr.child, weights=dens, minlength=seq.n)
-        model = self._excitation_model() if self.cfg.compensator == "exact" else None
-        comp = compensator_terms(seq, model, self.cfg.compensator)
-        return float(np.sum(np.log(lam)) - np.sum(self.mu) * seq.T - np.sum(self.alpha * comp))
+        params = HawkesParams(self.mu, self.alpha, self._excitation_model())
+        return log_likelihood(params, self.seq, self.cfg.compensator, self.pairs)
 
 
 def run_chain(config: McmcConfig, seq: EventSequence) -> PosteriorSamples:

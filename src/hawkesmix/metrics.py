@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import beta_log_pdf_grid
+from .kernels import beta_log_coefs, lag_design
 from .likelihood import spectral_radius
 
 
@@ -75,16 +75,15 @@ def curve_samples_from_draws(draws: dict[str, np.ndarray], T0: float, grid: Grid
     eps = np.asarray(draws["eps"], dtype=float)
     p0, a0, b0 = (np.asarray(draws[k], dtype=float) for k in ("p0", "a0", "b0"))
     pkl, akl, bkl = (np.asarray(draws[k], dtype=float) for k in ("pkl", "akl", "bkl"))
-    S, K = pkl.shape[0], pkl.shape[1]
-    x = grid.points
-    lf, l1f = np.log(x / T0), np.log1p(-x / T0)
+    S, K, H = pkl.shape[0], pkl.shape[1], pkl.shape[3]
+    design = lag_design(grid.points, T0)
     out = np.empty((S, K, K, grid.n_points))
     for s in range(S):
-        common = np.exp(beta_log_pdf_grid(a0[s], b0[s], lf, l1f, T0)) @ p0[s]
-        for i in range(K):
-            for j in range(K):
-                idio = np.exp(beta_log_pdf_grid(akl[s, i, j], bkl[s, i, j], lf, l1f, T0)) @ pkl[s, i, j]
-                out[s, i, j] = eps[s] * common + (1.0 - eps[s]) * idio
+        common = np.exp(design @ beta_log_coefs(a0[s], b0[s], T0)) @ p0[s]
+        # all K*K pair mixtures in one product: (grid, K*K*H) component densities
+        comp = np.exp(design @ beta_log_coefs(akl[s], bkl[s], T0).reshape(3, -1))
+        idio = np.einsum("gqh,qh->qg", comp.reshape(-1, K * K, H), pkl[s].reshape(K * K, H))
+        out[s] = (eps[s] * common + (1.0 - eps[s]) * idio).reshape(K, K, -1)
     return CurveSamples(out, grid)
 
 

@@ -2,7 +2,8 @@
 
 Only pairs with lag strictly inside ``(0, T0)`` can be parent-child
 transitions, so likelihoods and samplers touch O(n * window) pairs instead
-of O(n^2). Pairs are stored flat, grouped contiguously by child event.
+of O(n^2). Pairs are stored flat, grouped contiguously by child event, with
+a second stable order that groups them by (parent dim, child dim).
 """
 
 from __future__ import annotations
@@ -20,17 +21,22 @@ class PairData:
 
     ``child_start`` has length n+1; the pairs of child ``j`` occupy rows
     ``child_start[j]:child_start[j+1]``. ``kl`` flattens the (parent dim,
-    child dim) pair as ``parent_dim * K + child_dim``. ``log_lag_frac`` and
-    ``log1m_lag_frac`` cache ``log(lag/T0)`` and ``log(1 - lag/T0)``.
+    child dim) pair as ``parent_dim * K + child_dim``; ``kl_order`` lists
+    the rows stably sorted by ``kl`` and ``kl_start`` (length K²+1) delimits
+    the groups, so group ``g`` is ``kl_order[kl_start[g]:kl_start[g+1]]``
+    (see :meth:`groups`). Every kernel-density pass runs group by group:
+    one design-times-coefficients product per (parent dim, child dim).
+    ``log_lag_frac`` and ``log1m_lag_frac`` cache ``log(lag/T0)`` and
+    ``log(1 - lag/T0)``.
     """
 
     child: np.ndarray
     parent: np.ndarray
     lag: np.ndarray
-    parent_dim: np.ndarray
-    child_dim: np.ndarray
     kl: np.ndarray
     child_start: np.ndarray
+    kl_order: np.ndarray
+    kl_start: np.ndarray
     log_lag_frac: np.ndarray
     log1m_lag_frac: np.ndarray
     T0: float
@@ -39,6 +45,18 @@ class PairData:
     @property
     def m(self) -> int:
         return int(self.child.size)
+
+    @property
+    def parent_dim(self) -> np.ndarray:
+        return self.kl // self.K
+
+    @property
+    def child_dim(self) -> np.ndarray:
+        return self.kl % self.K
+
+    def groups(self):
+        """Yield ``(kl, rows)`` for every nonempty (parent dim, child dim) group."""
+        return iter_groups(self.kl_order, self.kl_start)
 
     def pair_row(self, child: int, parent: int) -> int:
         """Row index of the (parent, child) pair; raises if inadmissible."""
@@ -69,22 +87,38 @@ def build_pairs(seq: EventSequence, T0: float) -> PairData:
     base = np.repeat(child_start[:-1], counts)
     parent = np.repeat(starts, counts) + (np.arange(m, dtype=np.int64) - base)
     lag = t[child] - t[parent]
-    parent_dim = seq.dims[parent]
-    child_dim = seq.dims[child]
+    kl = seq.dims[parent] * seq.K + seq.dims[child]
+    kl_order, kl_start = group_rows(kl, seq.K * seq.K)
     frac = lag / T0
     return PairData(
         child=child,
         parent=parent,
         lag=lag,
-        parent_dim=parent_dim,
-        child_dim=child_dim,
-        kl=parent_dim * seq.K + child_dim,
+        kl=kl,
         child_start=child_start,
+        kl_order=kl_order,
+        kl_start=kl_start,
         log_lag_frac=np.log(frac),
         log1m_lag_frac=np.log1p(-frac),
         T0=float(T0),
         K=seq.K,
     )
+
+
+def group_rows(codes: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order of rows by group code plus ``n_groups + 1`` offsets into it."""
+    # a narrow key lets numpy's stable sort use radix sort
+    order = np.argsort(codes.astype(np.min_scalar_type(n_groups)), kind="stable")
+    start = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes, minlength=n_groups), out=start[1:])
+    return order, start
+
+
+def iter_groups(order: np.ndarray, start: np.ndarray):
+    """Yield ``(code, rows)`` for every nonempty group of :func:`group_rows`."""
+    for g in range(start.size - 1):
+        if start[g] < start[g + 1]:
+            yield g, order[start[g]:start[g + 1]]
 
 
 def candidate_parents(seq: EventSequence, j: int, T0: float) -> np.ndarray:
@@ -109,3 +143,18 @@ def segment_max(values: np.ndarray, child_start: np.ndarray, init: np.ndarray) -
         red = np.maximum.reduceat(values, child_start[:-1][nonempty])
         out[nonempty] = np.maximum(out[nonempty], red)
     return out
+
+
+def parent_softmax(pair_score: np.ndarray, imm_score: np.ndarray,
+                   pairs: PairData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unnormalized parent weights of each child, stabilized per child.
+
+    Returns ``(w, imm_w, tot)``: the weight of every pair, of every event's
+    immigrant option, and each event's total; scores are shifted by the
+    child's maximum (immigrant option included) before exponentiation.
+    """
+    seg = segment_max(pair_score, pairs.child_start, imm_score)
+    w = np.exp(pair_score - seg[pairs.child])
+    imm_w = np.exp(imm_score - seg)
+    tot = imm_w + np.bincount(pairs.child, weights=w, minlength=imm_score.size)
+    return w, imm_w, tot

@@ -26,8 +26,8 @@ class HawkesParams:
     excitation: Any
 
     def __post_init__(self) -> None:
-        mu = np.ascontiguousarray(self.mu, dtype=float)
-        alpha = np.ascontiguousarray(self.alpha, dtype=float)
+        mu = np.array(self.mu, dtype=float)
+        alpha = np.array(self.alpha, dtype=float)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "alpha", alpha)
         K = mu.size

@@ -29,8 +29,9 @@ import numpy as np
 from scipy import special
 
 from .events import EventSequence
+from .kernels import lag_design
 from .params import Hyperparams
-from .pairs import PairData, build_pairs, segment_max
+from .pairs import PairData, build_pairs, parent_softmax
 from .mcmc import VARIANTS
 
 logger = logging.getLogger(__name__)
@@ -301,20 +302,21 @@ def _cell_scores(local: LocalState, state: VariationalState) -> tuple[np.ndarray
     """Log-scale allocation scores for every pair and mixture cell.
 
     Common-side score: E[log eps] + E[log weight] + surrogate log density;
-    idiosyncratic side analogous with the pair's own components.
+    idiosyncratic side analogous with the pair's own components. Both are
+    the lag design times rows ``[abar - 1; bbar - 1; constant]`` whose
+    constant holds the Taylor surrogate and the expected log weights.
     """
     pr = local.pairs
     t0c, abar0, bbar0, t0i, abari, bbari = _component_tables(state)
     le, l1e = state.elog_eps_pair()
     log_t0 = np.log(state.t0)
-    sc = (le + state.elog_p0()[None, :] + t0c[None, :]
-          + np.outer(pr.log_lag_frac, abar0 - 1.0)
-          + np.outer(pr.log1m_lag_frac, bbar0 - 1.0) - log_t0)
+    design = lag_design(pr.lag, pr.T0)
+    sc = design @ np.stack([abar0 - 1.0, bbar0 - 1.0, le + state.elog_p0() + t0c - log_t0])
     elog_pkl = state.elog_pkl().reshape(state.K * state.K, state.h)
-    kl = pr.kl
-    si = (l1e + elog_pkl[kl] + t0i[kl]
-          + pr.log_lag_frac[:, None] * (abari[kl] - 1.0)
-          + pr.log1m_lag_frac[:, None] * (bbari[kl] - 1.0) - log_t0)
+    coefs = np.stack([abari - 1.0, bbari - 1.0, l1e + elog_pkl + t0i - log_t0])
+    si = np.empty((pr.m, state.h))
+    for g, rows in pr.groups():
+        si[rows] = design[rows] @ coefs[:, g]
     return sc, si
 
 
@@ -361,10 +363,7 @@ def update_branching(local: LocalState, state: VariationalState) -> None:
     sc, si = _cell_scores(local, state)
     pair_score = (state.elog_alpha().reshape(-1)[pr.kl]
                   + _evidence(local.qc, sc) + _evidence(local.qi, si))
-    seg = segment_max(pair_score, pr.child_start, imm_score)
-    w = np.exp(pair_score - seg[pr.child])
-    imm_w = np.exp(imm_score - seg)
-    tot = imm_w + np.bincount(pr.child, weights=w, minlength=win.n)
+    w, imm_w, tot = parent_softmax(pair_score, imm_score, pr)
     local.eta_imm = imm_w / tot
     local.eta_pair = w / tot[pr.child]
 
@@ -382,10 +381,7 @@ def update_local(local: LocalState, state: VariationalState) -> None:
     sc, si = _cell_scores(local, state)
     local.qc, local.qi, lse = _softmax_cells(sc, si)
     pair_score = state.elog_alpha().reshape(-1)[pr.kl] + lse
-    seg = segment_max(pair_score, pr.child_start, imm_score)
-    w = np.exp(pair_score - seg[pr.child])
-    imm_w = np.exp(imm_score - seg)
-    tot = imm_w + np.bincount(pr.child, weights=w, minlength=win.n)
+    w, imm_w, tot = parent_softmax(pair_score, imm_score, pr)
     local.eta_imm = imm_w / tot
     local.eta_pair = w / tot[pr.child]
 
@@ -410,28 +406,21 @@ class WindowStats:
 
 def window_stats(local: LocalState, state: VariationalState, kappa: float) -> WindowStats:
     pr, win = local.pairs, local.events
-    K, h0, h = state.K, state.h0, state.h
+    K, h = state.K, state.h
     inv = 1.0 / kappa
     imm = np.bincount(win.dims, weights=local.eta_imm, minlength=K) * inv
     pair = np.bincount(pr.kl, weights=local.eta_pair, minlength=K * K) * inv
-    wc = local.eta_pair[:, None] * local.qc
+    # design.T @ weights stacks the allocated sums of log(lag/T0) and
+    # log(1 - lag/T0) over the occupancy counts, per component
+    design = lag_design(pr.lag, pr.T0)
+    common = design.T @ (local.eta_pair[:, None] * local.qc) * inv
     wi = local.eta_pair[:, None] * local.qi
-    n_common = wc.sum(axis=0) * inv
-    s_common_t = wc.T @ pr.log_lag_frac * inv
-    s_common_m = wc.T @ pr.log1m_lag_frac * inv
-    if pr.m:
-        flat = (pr.kl[:, None] * h + np.arange(h)[None, :]).ravel()
-        n_idio = np.bincount(flat, weights=wi.ravel(), minlength=K * K * h).reshape(K * K, h) * inv
-        s_idio_t = np.bincount(flat, weights=(wi * pr.log_lag_frac[:, None]).ravel(),
-                               minlength=K * K * h).reshape(K * K, h) * inv
-        s_idio_m = np.bincount(flat, weights=(wi * pr.log1m_lag_frac[:, None]).ravel(),
-                               minlength=K * K * h).reshape(K * K, h) * inv
-    else:
-        n_idio = np.zeros((K * K, h))
-        s_idio_t = np.zeros((K * K, h))
-        s_idio_m = np.zeros((K * K, h))
-    return WindowStats(imm, pair.reshape(K, K), n_common, s_common_t, s_common_m,
-                       n_idio, s_idio_t, s_idio_m)
+    idio = np.zeros((3, K * K, h))
+    for g, rows in pr.groups():
+        idio[:, g] = design[rows].T @ wi[rows]
+    idio *= inv
+    return WindowStats(imm, pair.reshape(K, K), common[2], common[0], common[1],
+                       idio[2], idio[0], idio[1])
 
 
 def _blend(current: np.ndarray, target: np.ndarray, rho: float, label: str) -> np.ndarray:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from hawkesmix import BetaMixture, beta_cdf, beta_pdf, beta_log_pdf, excitation_eval
+from hawkesmix import BetaMixture, beta_cdf, beta_pdf, beta_log_pdf
 from hawkesmix.kernels import ExcitationModel
 
 from conftest import random_excitation
@@ -110,24 +110,24 @@ class TestExcitationModel:
         t = 0.33
         for i in range(2):
             for j in range(2):
-                assert excitation_eval(model, i, j, t) == pytest.approx(
+                assert model.density(i, j, t) == pytest.approx(
                     model.common.density(t, model.T0), rel=1e-12)
 
     def test_zero_blend_reduces_to_pair_kernel(self):
         uni = BetaMixture(np.array([1.0]), np.array([1.0]), np.array([1.0]))
         sym = BetaMixture(np.array([1.0]), np.array([2.0]), np.array([2.0]))
         model = ExcitationModel(eps=0.0, common=uni, idio=((sym,),), T0=1.0)
-        assert excitation_eval(model, 0, 0, 0.25) == pytest.approx(1.125, abs=1e-13)
+        assert model.density(0, 0, 0.25) == pytest.approx(1.125, abs=1e-13)
 
     def test_half_blend_hand_value(self):
         uni = BetaMixture(np.array([1.0]), np.array([1.0]), np.array([1.0]))
         sym = BetaMixture(np.array([1.0]), np.array([2.0]), np.array([2.0]))
         model = ExcitationModel(eps=0.5, common=uni, idio=((sym,),), T0=1.0)
-        assert excitation_eval(model, 0, 0, 0.25) == pytest.approx(1.0625, abs=1e-13)
+        assert model.density(0, 0, 0.25) == pytest.approx(1.0625, abs=1e-13)
 
     def test_dimension_bounds(self, uniform_kernel_model):
         with pytest.raises(IndexError):
-            excitation_eval(uniform_kernel_model, 0, 1, 0.5)
+            uniform_kernel_model.density(0, 1, 0.5)
 
     def test_eps_range_enforced(self, uniform_kernel_model):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from hawkesmix import (
     HawkesParams,
     LatentState,
     augmented_log_likelihood,
+    build_pairs,
     candidate_parents,
     intensity,
     log_likelihood,
@@ -18,11 +19,12 @@ from hawkesmix import (
 from hawkesmix.likelihood import (
     load_branching,
     log_likelihood_naive,
+    pair_density,
     save_branching,
     validate_latent,
 )
 
-from conftest import random_params, random_sequence
+from conftest import random_excitation, random_params, random_sequence
 
 
 def _empty_seq(K, T):
@@ -97,6 +99,29 @@ class TestLogLikelihood:
             else:
                 # both positions are at least T0 from the horizon too
                 assert after == pytest.approx(before, abs=1e-12)
+
+
+class TestPairDensity:
+    @pytest.mark.parametrize("eps", [0.0, 0.4, 1.0])
+    def test_matches_row_by_row_density(self, rng, eps):
+        model = random_excitation(rng, K=3, eps=eps)
+        # dimension 0 fires only before t=4 and dimension 2 only after t=5,
+        # so no admissible pair runs from dimension 2 to dimension 0
+        times = np.sort(rng.uniform(0.0, 8.0, size=60))
+        dims = np.where(times < 4.0, rng.integers(0, 2, size=60), rng.integers(1, 3, size=60))
+        dims[(times > 4.0) & (times < 5.0)] = 1
+        seq = EventSequence(times, dims, T=8.0, K=3)
+        pairs = build_pairs(seq, model.T0)
+        assert pairs.kl_start[2 * 3 + 0] == pairs.kl_start[2 * 3 + 1]
+        expected = [model.density(int(kl) // 3, int(kl) % 3, lag) for kl, lag in zip(pairs.kl, pairs.lag)]
+        np.testing.assert_allclose(pair_density(model, pairs), expected, rtol=1e-13, atol=0)
+
+    def test_no_pairs(self, rng):
+        model = random_excitation(rng, K=3, eps=0.4)
+        seq = EventSequence(np.array([0.5, 2.0, 4.0]), np.array([0, 1, 2]), T=5.0, K=3)
+        pairs = build_pairs(seq, model.T0)
+        assert pairs.m == 0
+        assert pair_density(model, pairs).shape == (0,)
 
 
 class TestAugmented:

@@ -89,6 +89,17 @@ class TestBuildSequence:
         assert seq.times[-1] == 23400.0
         assert np.all(np.diff(seq.times) > 0)
 
+    def test_session_end_ties_stay_inside_horizon(self, tmp_path):
+        """Two valid messages at exactly 16:00:00 must not be jittered past T."""
+        path = tmp_path / "ties.csv"
+        path.write_text("57599.5,1,1,200,100,1\n"
+                        "57600.000000000,1,2,200,100,1\n"
+                        "57600.000000000,3,3,200,100,-1\n")
+        seq = build_event_sequence(parse_messages(path).messages, IngestConfig())
+        assert seq.n == 3
+        assert seq.times[-1] <= seq.T
+        assert np.all(np.diff(seq.times) > 0)
+
     def test_volume_floor(self):
         report = parse_messages(DATA / "lobster_messages_50.csv")
         seq = build_event_sequence(report.messages, IngestConfig(min_volume=0))

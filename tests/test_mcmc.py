@@ -17,7 +17,12 @@ from hawkesmix import (
     simulate_branching,
     SimScenario,
 )
-from hawkesmix.likelihood import allocation_counts, immigrant_counts, offspring_counts
+from hawkesmix.likelihood import (
+    allocation_counts,
+    immigrant_counts,
+    log_likelihood_naive,
+    offspring_counts,
+)
 from hawkesmix.mcmc import (
     allocation_distribution,
     alpha_full_conditional,
@@ -235,7 +240,6 @@ class TestSamplerBlocks:
         sampler.b0[:] = 1.0
         sampler.akl[:] = 1.0
         sampler.bkl[:] = 1.0
-        sampler._invalidate_tables()
         n_sweeps = 20000
         hits = 0
         for _ in range(n_sweeps):
@@ -323,6 +327,21 @@ class TestRunChain:
 
 def _params_of(sampler):
     return HawkesParams(sampler.mu, sampler.alpha, sampler._excitation_model())
+
+
+class TestObservedLoglik:
+    @pytest.mark.parametrize("compensator", ["exact", "approx"])
+    @pytest.mark.parametrize("variant", ["RANDOM", "IDIO", "COMMON"])
+    def test_matches_naive_oracle_after_sweeps(self, variant, compensator):
+        params = benchmark_beta_params(0.5)
+        seq, _ = simulate_branching(SimScenario(params, T=60.0, seed=3))
+        cfg = McmcConfig(iterations=2, burn_in=1, h0=3, h=3, variant=variant,
+                         compensator=compensator, seed=9)
+        sampler = McmcSampler(cfg, seq)
+        for _ in range(3):
+            sampler.sweep()
+        oracle = log_likelihood_naive(_params_of(sampler), seq, compensator)
+        assert sampler.observed_loglik() == pytest.approx(oracle, abs=1e-9)
 
 
 class TestRestartSelection:

@@ -74,6 +74,18 @@ def test_pair_lags_always_inside_open_window(n, T0):
     assert pairs.child_start[-1] == pairs.m
 
 
+def test_kl_groups_partition_rows_in_child_order(rng):
+    seq = random_sequence(rng, 60, K=3, T=10.0)
+    pairs = build_pairs(seq, 1.0)
+    seen = []
+    for g, rows in pairs.groups():
+        assert np.all(pairs.kl[rows] == g)
+        assert np.all(np.diff(rows) > 0)
+        seen.append(rows)
+    np.testing.assert_array_equal(np.sort(np.concatenate(seen)), np.arange(pairs.m))
+    np.testing.assert_array_equal(np.diff(pairs.kl_start), np.bincount(pairs.kl, minlength=9))
+
+
 def test_pair_row_lookup():
     seq = _seq([0.1, 0.5, 1.2])
     pairs = build_pairs(seq, 1.0)
