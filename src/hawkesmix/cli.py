@@ -210,11 +210,14 @@ def _svi_config(doc: dict, seed: int) -> SviConfig:
         elbo_every=int(doc.get("elbo_every", 25)))
 
 
-def _dataset_paths(config: dict, out_dir: Path) -> list[tuple[str, Path]]:
-    """(label, events.csv path) pairs for a single file or a corpus tree."""
-    data = Path(config["data"])
+def _dataset_paths(data: Path) -> list[tuple[str, Path]]:
+    """(label, events.csv path) pairs for a single file or a corpus tree.
+
+    A label is the dataset's directory relative to ``data``; a single file
+    is labelled ``"."``, like the ``events.csv`` at the top of a tree.
+    """
     if data.is_file():
-        return [("dataset", data)]
+        return [(".", data)]
     found = sorted(data.glob("**/events.csv"))
     if not found:
         raise FileNotFoundError(f"no events.csv under {data}")
@@ -228,7 +231,7 @@ def cmd_fit(config: dict, out_dir: Path, seed: int, threads: int, engine: str) -
     fit_doc = config.get("mcmc" if engine == "mcmc" else "svi", {})
     runner = _fit_mcmc_one if engine == "mcmc" else _fit_svi_one
     tasks = []
-    for di, (label, events_csv) in enumerate(_dataset_paths(config, out_dir)):
+    for di, (label, events_csv) in enumerate(_dataset_paths(Path(config["data"]))):
         for r in range(restarts):
             dest = out_dir / label / f"restart{r}"
             tasks.append((f"fit {label} restart={r}", runner,
@@ -236,7 +239,7 @@ def cmd_fit(config: dict, out_dir: Path, seed: int, threads: int, engine: str) -
     results = _run_tasks(tasks, threads)
     # restart selection per dataset: highest mean log-likelihood for the
     # sampler, highest final bound for the variational engine
-    for label, _ in _dataset_paths(config, out_dir):
+    for label, _ in _dataset_paths(Path(config["data"])):
         scores = []
         for r in range(restarts):
             run_json = out_dir / label / f"restart{r}" / "run.json"
@@ -303,8 +306,7 @@ def cmd_evaluate(config: dict, out_dir: Path, seed: int, threads: int) -> list[d
     rows_by_metric: dict[str, list[float]] = {"rmise": [], "acr": [], "interval_score": []}
     first_alpha: np.ndarray | None = None
     first_curves: CurveSamples | None = None
-    for ds in sorted(corpus.glob("**/events.csv")):
-        label = str(ds.parent.relative_to(corpus))
+    for label, ds in _dataset_paths(corpus):
         name = f"evaluate {label}"
         try:
             parts = label.replace("\\", "/").split("/")

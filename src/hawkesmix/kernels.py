@@ -84,23 +84,29 @@ def beta_log_coefs(a, b, T0: float) -> np.ndarray:
     return np.stack([a - 1.0, b - 1.0, log_norm])
 
 
+def design_density(design: np.ndarray, sides):
+    """The one Beta-mixture evaluator: ``sum(weight * exp(design @ coefs) @ p)`` over
+    ``(weight, beta_log_coefs rows, mixture weights)`` sides with nonzero weight."""
+    vals = 0.0
+    for weight, coefs, p in sides:
+        if weight > 0.0:
+            vals = vals + weight * (np.exp(design @ coefs) @ p)
+    return vals
+
+
 def _blend_density(sides, t, T0: float):
     """Sum of ``weight * mixture density`` over ``(weight, BetaMixture)`` sides.
 
-    The lag design is built once for all sides; sides with zero weight are
-    skipped. Returns 0 outside ``(0, T0)`` and a float for scalar ``t``.
+    The lag design is built once for all sides. Returns 0 outside
+    ``(0, T0)`` and a float for scalar ``t``.
     """
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros_like(t)
     inside = (t > 0.0) & (t < T0)
     if np.any(inside):
-        design = lag_design(t[inside], T0)
-        vals = 0.0
-        for weight, mix in sides:
-            if weight > 0.0:
-                vals = vals + weight * (np.exp(design @ beta_log_coefs(mix.a, mix.b, T0)) @ mix.p)
-        out[inside] = vals
+        out[inside] = design_density(lag_design(t[inside], T0),
+                                     ((w, beta_log_coefs(mix.a, mix.b, T0), mix.p) for w, mix in sides))
     return float(out[0]) if scalar else out
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .events import EventSequence
-from .kernels import ExcitationModel, beta_log_pdf
+from .kernels import ExcitationModel, beta_log_coefs, beta_log_pdf, design_density
 from .params import HawkesParams
 from .pairs import PairData, build_pairs
 
@@ -174,8 +174,33 @@ def _check_compensator(mode: str) -> None:
         raise ValueError(f"compensator must be one of {COMPENSATOR_MODES}, got {mode!r}")
 
 
+def mixture_pair_density(eps: float, p0, a0, b0, pkl, akl, bkl, pairs: PairData) -> np.ndarray:
+    """Blended Beta-mixture density at every pair lag, in child order.
+
+    ``pkl``, ``akl``, ``bkl`` are (K², H) with row ``parent_dim * K +
+    child_dim``; each group is a contiguous slice of ``pairs.kl_design``.
+    """
+    design, start = pairs.kl_design, pairs.kl_start
+    coef0, coefs = beta_log_coefs(a0, b0, pairs.T0), beta_log_coefs(akl, bkl, pairs.T0)
+    vals = np.empty(pairs.m)
+    for g in range(start.size - 1):
+        sl = slice(start[g], start[g + 1])
+        vals[sl] = design_density(design[sl], ((eps, coef0, p0), (1.0 - eps, coefs[:, g], pkl[g])))
+    out = np.empty(pairs.m)
+    out[pairs.kl_order] = vals
+    return out
+
+
 def pair_density(excitation, pairs: PairData) -> np.ndarray:
-    """Excitation density at every pair lag, one call per (parent dim, child dim) group."""
+    """Excitation density at every pair lag, in child order.
+
+    A Beta-mixture model goes through :func:`mixture_pair_density`; other
+    excitations get one ``density`` call per (parent dim, child dim) group.
+    """
+    if isinstance(excitation, ExcitationModel):
+        arr, K2 = excitation.arrays, pairs.K * pairs.K
+        return mixture_pair_density(excitation.eps, arr["p0"], arr["a0"], arr["b0"], arr["pkl"].reshape(K2, -1),
+                                    arr["akl"].reshape(K2, -1), arr["bkl"].reshape(K2, -1), pairs)
     out = np.empty(pairs.m)
     for g, rows in pairs.groups():
         out[rows] = excitation.density(g // pairs.K, g % pairs.K, pairs.lag[rows])
@@ -183,16 +208,20 @@ def pair_density(excitation, pairs: PairData) -> np.ndarray:
 
 
 def log_likelihood(params: HawkesParams, seq: EventSequence, compensator: str = "exact",
-                   pairs: PairData | None = None) -> float:
-    """Observed-data log-likelihood via the windowed pair structure."""
+                   pairs: PairData | None = None, phi: np.ndarray | None = None) -> float:
+    """Observed-data log-likelihood via the windowed pair structure.
+
+    ``phi``, if given, is :func:`pair_density` of ``pairs``; the excitation
+    is then read only by the exact compensator.
+    """
     _check_compensator(compensator)
     exc = params.excitation
     if pairs is None:
         pairs = build_pairs(seq, exc.max_lag)
     lam = params.mu[seq.dims].astype(float)
     if pairs.m:
-        dens = params.alpha.reshape(-1)[pairs.kl] * pair_density(exc, pairs)
-        lam += np.bincount(pairs.child, weights=dens, minlength=seq.n)
+        phi = pair_density(exc, pairs) if phi is None else phi
+        lam += np.bincount(pairs.child, weights=params.alpha.reshape(-1)[pairs.kl] * phi, minlength=seq.n)
     if np.any(lam <= 0):
         raise FloatingPointError("conditional intensity vanished at an event time")
     total = float(np.sum(np.log(lam))) - float(np.sum(params.mu)) * seq.T

@@ -5,6 +5,10 @@ background/interaction rates, then kernel shapes (random-walk proposals on
 the log scale), then mixture weights and the blend weight. All categorical
 draws are normalized in log space via max-subtraction.
 
+One density pass per sweep: φ, the excitation density at every pair lag,
+is passed from the retained draw (where it gives the log-likelihood) to
+the next branching step; nothing changes the draw in between.
+
 Model variants: ``RANDOM`` learns the blend weight, ``IDIO`` pins it to 0
 (independent kernels), ``COMMON`` pins it to 1 (one shared kernel).
 """
@@ -20,9 +24,9 @@ from scipy import special
 
 from .events import EventSequence
 from .kernels import ExcitationModel, beta_log_coefs, lag_design
-from .likelihood import LatentState, compensator_terms, log_likelihood, pair_density
+from .likelihood import LatentState, compensator_terms, log_likelihood, mixture_pair_density
 from .params import HawkesParams, Hyperparams
-from .pairs import PairData, build_pairs, group_rows, iter_groups, parent_softmax
+from .pairs import PairData, build_pairs, parent_softmax
 
 VARIANTS = ("RANDOM", "IDIO", "COMMON")
 
@@ -220,23 +224,24 @@ class McmcSampler:
 
     # -- block updates ----------------------------------------------------
 
-    def sample_branching(self) -> None:
+    def sample_branching(self, phi: np.ndarray | None = None) -> None:
         """Draw each event's parent from its categorical full conditional.
 
         The blend-side indicators are marginalized out here (the mixture
         density appears in the weights); the subsequent allocation draw
         conditions on the new parents, so the two blocks form one joint
-        update.
+        update. ``phi`` is :meth:`pair_excitation`, if already computed.
         """
         pr, n = self.pairs, self.seq.n
         if pr.m == 0:
             self.parent.fill(-1)
             self.pair_row.fill(-1)
             return
+        if phi is None:
+            phi = self.pair_excitation()
         with np.errstate(divide="ignore"):
             imm_score = np.log(self.mu[self.seq.dims])
-            scores = (np.log(self.alpha.reshape(-1)[pr.kl])
-                      + np.log(pair_density(self._excitation_model(), pr)))
+            scores = np.log(self.alpha).reshape(-1)[pr.kl] + np.log(phi)
         w, imm_w, tot = parent_softmax(scores, imm_score, pr)
         u = self.rng.random(n) * tot
         cum = np.concatenate([[0.0], np.cumsum(w)])
@@ -250,30 +255,40 @@ class McmcSampler:
         self.pair_row = np.where(take_pair, np.clip(rows, 0, max(pr.m - 1, 0)), -1)
 
     def sample_allocations(self) -> None:
-        """Draw the joint (blend side, component) cell for each assigned pair."""
+        """Draw the joint (blend side, component) cell for each assigned pair.
+
+        Scores are cell-major, (h0 + h, assigned): every step runs along pairs.
+        """
         assigned = np.flatnonzero(self.parent >= 0)
         self.w.fill(-1)
         self.z.fill(-1)
         if assigned.size == 0:
             return
-        rows = self.pair_row[assigned]
-        h0, K, t0 = self.cfg.h0, self.seq.K, self.cfg.t0
-        design = lag_design(self.pairs.lag[rows], t0)
-        scores = np.full((assigned.size, h0 + self.cfg.h), -np.inf)
+        pr, rows = self.pairs, self.pair_row[assigned]
+        h0, t0 = self.cfg.h0, self.cfg.t0
+        lt, lm = pr.log_lag_frac[rows], pr.log1m_lag_frac[rows]
+        scores = np.full((h0 + self.cfg.h, assigned.size), -np.inf)
         with np.errstate(divide="ignore"):
             if self.eps > 0.0:
-                scores[:, :h0] = (np.log(self.eps) + np.log(self.p0)
-                                  + design @ beta_log_coefs(self.a0, self.b0, t0))
+                design_t = np.stack([lt, lm, np.ones_like(lt)])
+                scores[:h0] = ((np.log(self.eps) + np.log(self.p0))[:, None]
+                               + beta_log_coefs(self.a0, self.b0, t0).T @ design_t)
             if self.eps < 1.0:
-                log_w = np.log1p(-self.eps) + np.log(self.pkl)
-                coefs = beta_log_coefs(self.akl, self.bkl, t0)
-                for g, sel in iter_groups(*group_rows(self.pairs.kl[rows], K * K)):
-                    scores[sel, h0:] = log_w[g] + design[sel] @ coefs[:, g]
-        top = scores.max(axis=1, keepdims=True)
-        weights = np.exp(scores - top)
-        cum = np.cumsum(weights, axis=1)
-        u = self.rng.random(assigned.size) * cum[:, -1]
-        cell = (cum < u[:, None]).sum(axis=1)
+                # coefficient columns and log weights of each row's own mixture
+                table = np.concatenate([beta_log_coefs(self.akl, self.bkl, t0),
+                                        (np.log1p(-self.eps) + np.log(self.pkl))[None]])
+                c = np.take(np.ascontiguousarray(table.transpose(0, 2, 1)), pr.kl[rows], axis=2)
+                idio = scores[h0:]
+                np.multiply(c[0], lt, out=idio)
+                idio += c[1] * lm
+                idio += c[2]
+                idio += c[3]
+        scores -= scores.max(axis=0)
+        cum = np.exp(scores, out=scores)
+        for i in range(1, cum.shape[0]):  # running sum down the cells, one vector op per cell
+            cum[i] += cum[i - 1]
+        u = self.rng.random(assigned.size) * cum[-1]
+        cell = (cum < u).sum(axis=0)
         self.w[assigned] = (cell >= h0).astype(np.int64)
         self.z[assigned] = np.where(cell >= h0, cell - h0, cell)
 
@@ -287,8 +302,7 @@ class McmcSampler:
         assigned = np.flatnonzero(self.parent >= 0)
         kl = self.pairs.kl[self.pair_row[assigned]]
         off = np.bincount(kl, minlength=K * K).reshape(K, K)
-        model = self._excitation_model() if self.cfg.compensator == "exact" else None
-        comp = compensator_terms(seq, model, self.cfg.compensator)
+        comp = compensator_terms(seq, self._exact_model(), self.cfg.compensator)
         shape_a, rate_a = alpha_full_conditional(self.cfg.hyper, off, comp)
         self.alpha = self.rng.gamma(shape_a, 1.0 / rate_a)
 
@@ -316,27 +330,23 @@ class McmcSampler:
         The proposal is symmetric in log space, so the acceptance ratio
         carries the proposed/current value as a Jacobian factor.
         """
-        rng = self.rng
-        prop = a * np.exp(self.mh_step * rng.standard_normal(a.shape))
-        delta = (shape_log_target(prop, b, n, st, ca, da)
-                 - shape_log_target(a, b, n, st, ca, da)
-                 + np.log(prop) - np.log(a))
-        acc = np.log(rng.random(a.shape)) < delta
-        a = np.where(acc, prop, a)
-        n_acc = int(acc.sum())
-        prop = b * np.exp(self.mh_step * rng.standard_normal(b.shape))
-        delta = (shape_log_target(prop, a, n, sm, cb, db)
-                 - shape_log_target(b, a, n, sm, cb, db)
-                 + np.log(prop) - np.log(b))
-        acc = np.log(rng.random(b.shape)) < delta
-        b = np.where(acc, prop, b)
-        n_acc += int(acc.sum())
-        return a, b, n_acc, 2 * a.size
+        a, acc_a = self._mh_shape(a, b, n, st, ca, da)
+        b, acc_b = self._mh_shape(b, a, n, sm, cb, db)
+        return a, b, acc_a + acc_b, 2 * a.size
 
-    def sample_shapes(self) -> None:
-        """Metropolis updates of every active kernel shape parameter."""
+    def _mh_shape(self, x, other, n, lag_log_sum, c, d):
+        """One shape's half of :meth:`_mh_pair_update`; returns (values, accepted count)."""
+        prop = x * np.exp(self.mh_step * self.rng.standard_normal(x.shape))
+        delta = (shape_log_target(prop, other, n, lag_log_sum, c, d)
+                 - shape_log_target(x, other, n, lag_log_sum, c, d)
+                 + np.log(prop) - np.log(x))
+        acc = np.log(self.rng.random(x.shape)) < delta
+        return np.where(acc, prop, x), int(acc.sum())
+
+    def sample_shapes(self, stats=None) -> None:
+        """Metropolis updates of every active kernel shape; ``stats`` is :meth:`_allocation_stats`, if computed."""
         hyper = self.cfg.hyper
-        n0, s0t, s0m, nkl, skt, skm = self._allocation_stats()
+        n0, s0t, s0m, nkl, skt, skm = self._allocation_stats() if stats is None else stats
         acc = att = 0
         if self.cfg.variant != "IDIO":
             self.a0, self.b0, a, t = self._mh_pair_update(
@@ -355,10 +365,10 @@ class McmcSampler:
         self._win_accepted += acc
         self._win_attempted += att
 
-    def sample_weights(self) -> None:
-        """Conjugate Dirichlet/Beta draws for mixture and blend weights."""
+    def sample_weights(self, stats=None) -> None:
+        """Conjugate Dirichlet/Beta draws for mixture and blend weights; ``stats`` as in :meth:`sample_shapes`."""
         h0, h = self.cfg.h0, self.cfg.h
-        n0, _, _, nkl, _, _ = self._allocation_stats()
+        n0, _, _, nkl, _, _ = self._allocation_stats() if stats is None else stats
         dir0, dirkl, eps_beta = weight_full_conditionals(self.cfg.hyper, n0, nkl, h0, h)
         if self.cfg.variant != "IDIO":
             self.p0 = self._dirichlet(dir0)
@@ -379,12 +389,14 @@ class McmcSampler:
             g = np.ones_like(g)
         return g / g.sum()
 
-    def sweep(self) -> None:
-        self.sample_branching()
+    def sweep(self, phi: np.ndarray | None = None) -> None:
+        """One full update; shapes and weights share one :meth:`_allocation_stats`."""
+        self.sample_branching(phi)
         self.sample_allocations()
         self.sample_rates()
-        self.sample_shapes()
-        self.sample_weights()
+        stats = self._allocation_stats()
+        self.sample_shapes(stats)
+        self.sample_weights(stats)
 
     def adapt_step(self, target: float = 0.35, gain: float = 0.5) -> None:
         """Robbins-Monro tweak of the proposal scale toward a target rate."""
@@ -403,50 +415,45 @@ class McmcSampler:
             self.pkl.reshape(K, K, -1), self.akl.reshape(K, K, -1), self.bkl.reshape(K, K, -1),
             self.cfg.t0)
 
+    def pair_excitation(self) -> np.ndarray:
+        """Excitation density at every pair lag (child order) under the current draw."""
+        return mixture_pair_density(self.eps, self.p0, self.a0, self.b0,
+                                    self.pkl, self.akl, self.bkl, self.pairs)
+
+    def _exact_model(self) -> ExcitationModel | None:
+        """The kernels as a model; only the exact compensator reads them."""
+        return self._excitation_model() if self.cfg.compensator == "exact" else None
+
     def latent_state(self) -> LatentState:
         return LatentState(self.parent.copy(), self.w.copy(), self.z.copy())
 
-    def observed_loglik(self) -> float:
-        """Observed-data log-likelihood under the configured compensator."""
-        params = HawkesParams(self.mu, self.alpha, self._excitation_model())
-        return log_likelihood(params, self.seq, self.cfg.compensator, self.pairs)
+    def observed_loglik(self, phi: np.ndarray | None = None) -> float:
+        """Observed-data log-likelihood; ``phi`` is :meth:`pair_excitation`, if already computed."""
+        params = HawkesParams(self.mu, self.alpha, self._exact_model())
+        phi = self.pair_excitation() if phi is None else phi
+        return log_likelihood(params, self.seq, self.cfg.compensator, self.pairs, phi)
 
 
 def run_chain(config: McmcConfig, seq: EventSequence) -> PosteriorSamples:
     """Run one chain and retain every post-burn-in draw."""
     sampler = McmcSampler(config, seq)
-    K, h0, h = seq.K, config.h0, config.h
+    shapes = _draw_shapes(seq.K, config.h0, config.h)
     S = config.iterations - config.burn_in
-    out = PosteriorSamples(
-        config=config,
-        mu=np.empty((S, K)),
-        alpha=np.empty((S, K, K)),
-        eps=np.empty(S),
-        p0=np.empty((S, h0)),
-        a0=np.empty((S, h0)),
-        b0=np.empty((S, h0)),
-        pkl=np.empty((S, K, K, h)),
-        akl=np.empty((S, K, K, h)),
-        bkl=np.empty((S, K, K, h)),
-        loglik=np.empty(S),
-        accept_rates={},
-    )
+    out = PosteriorSamples(config=config, accept_rates={},
+                           **{name: np.empty((S, *shape)) for name, shape in shapes.items()})
+    phi = None  # density at the last retained draw, reused by the next branching step
     for it in range(config.iterations):
-        sampler.sweep()
+        sampler.sweep(phi)
+        phi = None
         if config.adapt_mh and it < config.burn_in and (it + 1) % 50 == 0:
             sampler.adapt_step()
         if it >= config.burn_in:
             s = it - config.burn_in
-            out.mu[s] = sampler.mu
-            out.alpha[s] = sampler.alpha
-            out.eps[s] = sampler.eps
-            out.p0[s] = sampler.p0
-            out.a0[s] = sampler.a0
-            out.b0[s] = sampler.b0
-            out.pkl[s] = sampler.pkl.reshape(K, K, h)
-            out.akl[s] = sampler.akl.reshape(K, K, h)
-            out.bkl[s] = sampler.bkl.reshape(K, K, h)
-            out.loglik[s] = sampler.observed_loglik()
+            for name, shape in shapes.items():
+                if name != "loglik":
+                    getattr(out, name)[s] = np.reshape(getattr(sampler, name), shape)
+            phi = sampler.pair_excitation()
+            out.loglik[s] = sampler.observed_loglik(phi)
     out.accept_rates = {
         "shapes": sampler.mh_accepted / max(sampler.mh_attempted, 1),
         "final_mh_step": sampler.mh_step,
@@ -457,6 +464,12 @@ def run_chain(config: McmcConfig, seq: EventSequence) -> PosteriorSamples:
 # ---------------------------------------------------------------------------
 # Persistence: flattened-draw CSV plus a JSON run manifest
 # ---------------------------------------------------------------------------
+
+def _draw_shapes(K: int, h0: int, h: int) -> dict[str, tuple[int, ...]]:
+    """Per-draw shape of every stored array, in CSV column order."""
+    return {"loglik": (), "mu": (K,), "alpha": (K, K), "eps": (), "p0": (h0,), "a0": (h0,), "b0": (h0,),
+            "pkl": (K, K, h), "akl": (K, K, h), "bkl": (K, K, h)}
+
 
 def _sample_columns(K: int, h0: int, h: int) -> list[str]:
     cols = ["loglik"]
@@ -472,18 +485,9 @@ def _sample_columns(K: int, h0: int, h: int) -> list[str]:
 
 def save_samples(samples: PosteriorSamples, csv_path: str | Path) -> None:
     """One row per retained draw with flattened parameter names."""
-    S = samples.n_draws
-    K = samples.mu.shape[1]
-    h0 = samples.p0.shape[1]
-    h = samples.pkl.shape[3]
-    mat = np.column_stack([
-        samples.loglik,
-        samples.mu,
-        samples.alpha.reshape(S, -1),
-        samples.eps,
-        samples.p0, samples.a0, samples.b0,
-        samples.pkl.reshape(S, -1), samples.akl.reshape(S, -1), samples.bkl.reshape(S, -1),
-    ])
+    K, h0, h = samples.mu.shape[1], samples.p0.shape[1], samples.pkl.shape[3]
+    mat = np.column_stack([getattr(samples, name).reshape(samples.n_draws, -1)
+                           for name in _draw_shapes(K, h0, h)])
     with open(Path(csv_path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_sample_columns(K, h0, h))
@@ -499,17 +503,7 @@ def load_samples(csv_path: str | Path, config: McmcConfig, K: int | None = None)
         K = sum(1 for n in names if n.startswith("mu."))
     h0 = sum(1 for n in names if n.startswith("p0."))
     h = sum(1 for n in names if n.startswith("p.") and n.count(".") == 3) // (K * K)
-    S = mat.shape[0]
-    i = 0
-    loglik = mat[:, i]; i += 1
-    mu = mat[:, i:i + K]; i += K
-    alpha = mat[:, i:i + K * K].reshape(S, K, K); i += K * K
-    eps = mat[:, i]; i += 1
-    p0 = mat[:, i:i + h0]; i += h0
-    a0 = mat[:, i:i + h0]; i += h0
-    b0 = mat[:, i:i + h0]; i += h0
-    pkl = mat[:, i:i + K * K * h].reshape(S, K, K, h); i += K * K * h
-    akl = mat[:, i:i + K * K * h].reshape(S, K, K, h); i += K * K * h
-    bkl = mat[:, i:i + K * K * h].reshape(S, K, K, h); i += K * K * h
-    return PosteriorSamples(config=config, mu=mu, alpha=alpha, eps=eps, p0=p0, a0=a0, b0=b0,
-                            pkl=pkl, akl=akl, bkl=bkl, loglik=loglik, accept_rates={})
+    shapes = _draw_shapes(K, h0, h)
+    cols = np.split(mat, np.cumsum([int(np.prod(shape)) for shape in shapes.values()])[:-1], axis=1)
+    return PosteriorSamples(config=config, accept_rates={}, **{
+        name: col.reshape(mat.shape[0], *shape) for (name, shape), col in zip(shapes.items(), cols)})

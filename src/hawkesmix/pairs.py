@@ -9,6 +9,7 @@ a second stable order that groups them by (parent dim, child dim).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,7 @@ class PairData:
     (see :meth:`groups`). Every kernel-density pass runs group by group:
     one design-times-coefficients product per (parent dim, child dim).
     ``log_lag_frac`` and ``log1m_lag_frac`` cache ``log(lag/T0)`` and
-    ``log(1 - lag/T0)``.
+    ``log(1 - lag/T0)``; :attr:`kl_design` stacks them in ``kl_order``.
     """
 
     child: np.ndarray
@@ -54,9 +55,19 @@ class PairData:
     def child_dim(self) -> np.ndarray:
         return self.kl % self.K
 
+    @cached_property
+    def kl_design(self) -> np.ndarray:
+        """(m, 3) lag design ``[log(lag/T0), log(1 - lag/T0), 1]`` in ``kl_order``,
+        built on first use; group ``g`` is rows ``kl_start[g]:kl_start[g+1]``."""
+        rows = self.kl_order
+        return np.column_stack([self.log_lag_frac[rows], self.log1m_lag_frac[rows], np.ones(self.m)])
+
     def groups(self):
         """Yield ``(kl, rows)`` for every nonempty (parent dim, child dim) group."""
-        return iter_groups(self.kl_order, self.kl_start)
+        start = self.kl_start
+        for g in range(start.size - 1):
+            if start[g] < start[g + 1]:
+                yield g, self.kl_order[start[g]:start[g + 1]]
 
     def pair_row(self, child: int, parent: int) -> int:
         """Row index of the (parent, child) pair; raises if inadmissible."""
@@ -88,7 +99,10 @@ def build_pairs(seq: EventSequence, T0: float) -> PairData:
     parent = np.repeat(starts, counts) + (np.arange(m, dtype=np.int64) - base)
     lag = t[child] - t[parent]
     kl = seq.dims[parent] * seq.K + seq.dims[child]
-    kl_order, kl_start = group_rows(kl, seq.K * seq.K)
+    # a narrow key lets numpy's stable sort use radix sort
+    kl_order = np.argsort(kl.astype(np.min_scalar_type(seq.K * seq.K)), kind="stable")
+    kl_start = np.zeros(seq.K * seq.K + 1, dtype=np.int64)
+    np.cumsum(np.bincount(kl, minlength=seq.K * seq.K), out=kl_start[1:])
     frac = lag / T0
     return PairData(
         child=child,
@@ -103,22 +117,6 @@ def build_pairs(seq: EventSequence, T0: float) -> PairData:
         T0=float(T0),
         K=seq.K,
     )
-
-
-def group_rows(codes: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable order of rows by group code plus ``n_groups + 1`` offsets into it."""
-    # a narrow key lets numpy's stable sort use radix sort
-    order = np.argsort(codes.astype(np.min_scalar_type(n_groups)), kind="stable")
-    start = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(np.bincount(codes, minlength=n_groups), out=start[1:])
-    return order, start
-
-
-def iter_groups(order: np.ndarray, start: np.ndarray):
-    """Yield ``(code, rows)`` for every nonempty group of :func:`group_rows`."""
-    for g in range(start.size - 1):
-        if start[g] < start[g + 1]:
-            yield g, order[start[g]:start[g + 1]]
 
 
 def candidate_parents(seq: EventSequence, j: int, T0: float) -> np.ndarray:

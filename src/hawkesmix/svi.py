@@ -205,13 +205,6 @@ class VariationalState:
         return (float(special.digamma(self.eta_eps[0]) - s),
                 float(special.digamma(self.eta_eps[1]) - s))
 
-    def eps_mean(self) -> float:
-        if self.variant == "IDIO":
-            return 0.0
-        if self.variant == "COMMON":
-            return 1.0
-        return float(self.eta_eps[0] / self.eta_eps.sum())
-
 
 @dataclass
 class LocalState:
@@ -567,9 +560,14 @@ def elbo_value(state: VariationalState, local: LocalState) -> float:
     return value
 
 
-def elbo(state: VariationalState, seq: EventSequence) -> float:
-    """Full-data surrogate bound after a fresh local evaluation pass."""
-    local = make_local(seq, state.t0)
+def elbo(state: VariationalState, seq: EventSequence, local: LocalState | None = None) -> float:
+    """Full-data surrogate bound after a fresh local evaluation pass.
+
+    ``local`` is a reusable :func:`make_local` of ``seq``; its tables are
+    overwritten. Without it the pair structure is built here.
+    """
+    if local is None:
+        local = make_local(seq, state.t0)
     update_local(local, state)
     return elbo_value(state, local)
 
@@ -583,14 +581,15 @@ def run_svi(cfg: SviConfig, seq: EventSequence) -> tuple[VariationalState, np.nd
     state = init_state(cfg, seq)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     trace: list[tuple[int, float]] = []
+    full = make_local(seq, cfg.t0)
     for r in range(1, cfg.iterations + 1):
         window, _ = select_window(seq, cfg.kappa, rng)
         local = make_local(window, cfg.t0)
         update_local(local, state)
         update_global(state, local, learning_rate(r, cfg), cfg.kappa)
         if r % cfg.elbo_every == 0 and r < cfg.iterations:
-            trace.append((r, elbo(state, seq)))
-    trace.append((cfg.iterations, elbo(state, seq)))
+            trace.append((r, elbo(state, seq, full)))
+    trace.append((cfg.iterations, elbo(state, seq, full)))
     return state, np.asarray(trace, dtype=float)
 
 

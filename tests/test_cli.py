@@ -112,10 +112,33 @@ class TestFitAndEvaluate:
         })
         assert main(["fit-svi", "--config", fit_cfg, "--output", str(fits),
                      "--threads", "1"]) == 0
-        sel = json.loads((fits / "dataset" / "selected.json").read_text())
+        sel = json.loads((fits / "selected.json").read_text())
         assert sel["engine"] == "svi"
-        trace = (fits / "dataset" / "restart0" / "elbo_trace.csv").read_text().splitlines()
+        trace = (fits / "restart0" / "elbo_trace.csv").read_text().splitlines()
         assert trace[0] == "iter,elbo"
+
+    def test_single_file_fit_can_be_evaluated(self, tmp_path):
+        sim_cfg = _write_config(tmp_path / "sim.json", {
+            "scenario": {"kind": "beta", "eps_grid": [0.5], "T": 300.0},
+            "replications": 1, "seed": 4,
+        })
+        corpus = tmp_path / "corpus"
+        assert main(["simulate", "--config", sim_cfg, "--output", str(corpus), "--threads", "1"]) == 0
+        events = next(corpus.glob("eps0.5/rep0/events.csv"))
+        fits = tmp_path / "fits"
+        fit_cfg = _write_config(tmp_path / "fit.json", {
+            "data": str(events),
+            "mcmc": {"iterations": 20, "burn_in": 10, "h0": 2, "h": 2},
+            "seed": 6,
+        })
+        assert main(["fit-mcmc", "--config", fit_cfg, "--output", str(fits), "--threads", "1"]) == 0
+        ev_cfg = _write_config(tmp_path / "eval.json", {
+            "corpus": str(events.parent), "fits": str(fits), "engine": "mcmc",
+            "grid_points": 32, "eval_draws": 10, "seed": 3,
+        })
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", ev_cfg, "--output", str(out), "--threads", "1"]) == 0
+        assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 3
 
     def test_failed_task_isolated_and_reported(self, sim_corpus, tmp_path):
         # corrupt one dataset: its fits fail, the others still complete

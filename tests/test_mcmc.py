@@ -20,6 +20,7 @@ from hawkesmix import (
 from hawkesmix.likelihood import (
     allocation_counts,
     immigrant_counts,
+    log_likelihood,
     log_likelihood_naive,
     offspring_counts,
 )
@@ -327,6 +328,50 @@ class TestRunChain:
 
 def _params_of(sampler):
     return HawkesParams(sampler.mu, sampler.alpha, sampler._excitation_model())
+
+
+def _draw_params(out, s, t0):
+    """HawkesParams of retained draw ``s``."""
+    model = ExcitationModel.from_arrays(out.eps[s], out.p0[s], out.a0[s], out.b0[s],
+                                        out.pkl[s], out.akl[s], out.bkl[s], t0)
+    return HawkesParams(out.mu[s], out.alpha[s], model)
+
+
+class TestPhiReuse:
+    """The density computed for a retained draw's log-likelihood is reused by
+    the next branching step; neither the values nor the chain may change."""
+
+    @pytest.mark.parametrize("compensator", ["exact", "approx"])
+    @pytest.mark.parametrize("variant", ["RANDOM", "IDIO", "COMMON"])
+    def test_retained_loglik_matches_retained_draw(self, variant, compensator):
+        params = benchmark_beta_params(0.5)
+        seq, _ = simulate_branching(SimScenario(params, T=120.0, seed=21))
+        cfg = McmcConfig(iterations=12, burn_in=4, h0=3, h=3, variant=variant,
+                         compensator=compensator, seed=22)
+        out = run_chain(cfg, seq)
+        for s in range(out.n_draws):
+            expected = log_likelihood(_draw_params(out, s, cfg.t0), seq, compensator)
+            assert out.loglik[s] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("compensator", ["exact", "approx"])
+    def test_hand_driven_sweeps_match_run_chain(self, compensator):
+        params = benchmark_beta_params(0.5)
+        seq, _ = simulate_branching(SimScenario(params, T=150.0, seed=23))
+        # burn-in long enough for one proposal-scale adaptation
+        cfg = McmcConfig(iterations=60, burn_in=52, h0=3, h=3, compensator=compensator, seed=24)
+        out = run_chain(cfg, seq)
+        sampler = McmcSampler(cfg, seq)
+        draws = {"mu": [], "alpha": [], "eps": [], "akl": [], "bkl": [], "a0": [], "pkl": [], "loglik": []}
+        for it in range(cfg.iterations):
+            sampler.sweep()
+            if it < cfg.burn_in and (it + 1) % 50 == 0:
+                sampler.adapt_step()
+            if it >= cfg.burn_in:
+                for name in draws:
+                    value = sampler.observed_loglik() if name == "loglik" else getattr(sampler, name)
+                    draws[name].append(np.copy(value))
+        for name, values in draws.items():
+            np.testing.assert_array_equal(np.reshape(values, getattr(out, name).shape), getattr(out, name))
 
 
 class TestObservedLoglik:
