@@ -3,7 +3,8 @@
 All densities live on the bounded support ``(0, T0)`` and are assembled in
 log space from log-gamma terms. Density evaluations return exactly 0 outside
 the open interval, including at the endpoints, even for shape parameters
-below 1 where the pointwise limit would diverge.
+below 1 where the pointwise limit would diverge. :func:`cell_log_scores`
+is the one allocation-score table of the sampler and the variational engine.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy import special
+
+
+# grid points of the peak-density scan behind the thinning simulator's rate bound
+_DENSITY_SCAN = 2048
 
 
 def _require_finite_positive(**named: float) -> None:
@@ -92,6 +97,32 @@ def design_density(design: np.ndarray, sides):
         if weight > 0.0:
             vals = vals + weight * (np.exp(design @ coefs) @ p)
     return vals
+
+
+def cell_log_scores(lt, lm, kl, common, idio) -> np.ndarray:
+    """Cell-major ``(H0 + H, n)`` allocation log scores of n pairs.
+
+    Pair ``j`` has design ``[lt[j], lm[j], 1]`` and group ``kl[j]``. A side is
+    ``(log side weight, coefficient rows, log component weights)``: (3, H0) rows
+    with (H0,) weights for the common side, (3, K², H) with (K², H), gathered per
+    pair, for the idiosyncratic one. A side with log weight -inf is not evaluated.
+    """
+    (lw0, coef0, lp0), (lwi, coefi, lpi) = common, idio
+    h0 = lp0.shape[-1]
+    scores = np.full((h0 + lpi.shape[-1], lt.size), -np.inf)
+    if lw0 > -np.inf:
+        design_t = np.stack([lt, lm, np.ones_like(lt)])
+        scores[:h0] = (lw0 + lp0)[:, None] + coef0.T @ design_t
+    if lwi > -np.inf:
+        # coefficient columns and log weights of each column's own mixture
+        table = np.concatenate([coefi, (lwi + lpi)[None]])
+        c = np.take(np.ascontiguousarray(table.transpose(0, 2, 1)), kl, axis=2)
+        out = scores[h0:]
+        np.multiply(c[0], lt, out=out)
+        out += c[1] * lm
+        out += c[2]
+        out += c[3]
+    return scores
 
 
 def _blend_density(sides, t, T0: float):
@@ -223,9 +254,9 @@ class ExcitationModel:
             lags[w == 1], z[w == 1] = self.idio[parent_dim][child_dim].sample(rng, size - n_common, self.T0)
         return lags, w, z
 
-    def max_density(self, parent_dim: int, child_dim: int, n_scan: int = 2048) -> float:
+    def max_density(self, parent_dim: int, child_dim: int) -> float:
         """Grid estimate of the pair's peak density (used as a rate bound)."""
-        grid = (np.arange(n_scan) + 0.5) * (self.T0 / n_scan)
+        grid = (np.arange(_DENSITY_SCAN) + 0.5) * (self.T0 / _DENSITY_SCAN)
         return float(np.max(self.density(parent_dim, child_dim, grid)))
 
     def _check_dims(self, parent_dim: int, child_dim: int) -> None:

@@ -132,15 +132,24 @@ def intensity(params: HawkesParams, seq: EventSequence, k: int, t: float) -> flo
         raise IndexError(f"dimension {k} outside 0..{params.K - 1}")
     if not 0.0 <= t <= seq.T:
         raise ValueError("t must lie in [0, T]")
-    exc = params.excitation
-    lo = int(np.searchsorted(seq.times, t - exc.max_lag, side="right"))
+    lo = int(np.searchsorted(seq.times, t - params.excitation.max_lag, side="right"))
     hi = int(np.searchsorted(seq.times, t, side="left"))
-    rate = float(params.mu[k])
+    return float(excitation_rates(params, seq.times[lo:hi], seq.dims[lo:hi], t)[k])
+
+
+def excitation_rates(params: HawkesParams, times: np.ndarray, dims: np.ndarray, t: float) -> np.ndarray:
+    """Conditional rate of every dimension at ``t`` given the events ``(times, dims)``.
+
+    One ``density`` call per (parent dim, child dim) pair over the events;
+    lags outside the kernel support contribute 0.
+    """
+    exc = params.excitation
+    rate = params.mu.astype(float)
     for p in range(params.K):
-        sel = seq.dims[lo:hi] == p
-        if np.any(sel):
-            lags = t - seq.times[lo:hi][sel]
-            rate += params.alpha[p, k] * float(np.sum(exc.density(p, k, lags)))
+        lags = t - times[dims == p]
+        if lags.size:
+            for c in range(params.K):
+                rate[c] += params.alpha[p, c] * float(np.sum(exc.density(p, c, lags)))
     return rate
 
 

@@ -13,7 +13,7 @@ orders/cancellations, sell submissions, sell market orders/cancellations.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,8 @@ EVENT_HALT = 7
 _MARKET_OR_CANCEL = {EVENT_PARTIAL_CANCEL, EVENT_FULL_CANCEL,
                      EVENT_VISIBLE_EXECUTION, EVENT_HIDDEN_EXECUTION}
 _KNOWN_TYPES = {1, 2, 3, 4, 5, 6, 7}
+# parse_messages rejects a file with a larger share of malformed nonempty rows
+MAX_MALFORMED_FRAC = 0.01
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class ParseReport:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Session window, volume floor, level filter, and dimension grouping.
+    """Session window, volume floor, and level filter.
 
     ``session_start``/``session_end`` are seconds after midnight (defaults
     9:30:00 and 16:00:00). Level filtering keeps events whose price matches
@@ -68,7 +70,6 @@ class IngestConfig:
     min_volume: int = 100
     level: int = 1
     include_hidden: bool = True
-    grouping: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.session_start >= self.session_end:
@@ -78,8 +79,6 @@ class IngestConfig:
 
     def dimension_of(self, event_type: int, direction: int) -> int | None:
         """1-based output dimension for a message, None to drop it."""
-        if self.grouping:
-            return self.grouping.get((event_type, direction))
         if event_type == EVENT_HALT:
             return None
         if event_type == EVENT_HIDDEN_EXECUTION and not self.include_hidden:
@@ -91,10 +90,10 @@ class IngestConfig:
         return None
 
 
-def parse_messages(path: str | Path, max_malformed_frac: float = 0.01) -> ParseReport:
+def parse_messages(path: str | Path) -> ParseReport:
     """Parse a message file, collecting malformed rows with line numbers.
 
-    Raises when the file is unreadable or more than ``max_malformed_frac``
+    Raises when the file is unreadable or more than ``MAX_MALFORMED_FRAC``
     of its nonempty rows are malformed.
     """
     messages: list[LobsterMessage] = []
@@ -132,10 +131,10 @@ def parse_messages(path: str | Path, max_malformed_frac: float = 0.01) -> ParseR
                 continue
             prev_time = time
             messages.append(LobsterMessage(time, event_type, order_id, size, price, direction))
-    if n_rows and len(malformed) > max_malformed_frac * n_rows:
+    if n_rows and len(malformed) > MAX_MALFORMED_FRAC * n_rows:
         raise ValueError(
             f"{len(malformed)} of {n_rows} rows malformed "
-            f"(threshold {max_malformed_frac:.0%}); first: {malformed[0]}")
+            f"(threshold {MAX_MALFORMED_FRAC:.0%}); first: {malformed[0]}")
     return ParseReport(messages, malformed)
 
 

@@ -23,12 +23,15 @@ import numpy as np
 from scipy import special
 
 from .events import EventSequence
-from .kernels import ExcitationModel, beta_log_coefs, lag_design
+from .kernels import ExcitationModel, beta_log_coefs, cell_log_scores, lag_design
 from .likelihood import LatentState, compensator_terms, log_likelihood, mixture_pair_density
 from .params import HawkesParams, Hyperparams
 from .pairs import PairData, build_pairs, parent_softmax
 
 VARIANTS = ("RANDOM", "IDIO", "COMMON")
+# shape-proposal acceptance rate that adapt_step steers toward, and its gain
+ADAPT_TARGET = 0.35
+ADAPT_GAIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -246,13 +249,14 @@ class McmcSampler:
         u = self.rng.random(n) * tot
         cum = np.concatenate([[0.0], np.cumsum(w)])
         starts = pr.child_start[:-1]
-        ends = pr.child_start[1:]
         take_pair = u >= imm_w
         target = cum[starts] + (u - imm_w)
-        rows = np.searchsorted(cum, target, side="right") - 1
-        rows = np.clip(rows, starts, np.maximum(starts, ends - 1))
-        self.parent = np.where(take_pair, pr.parent[np.clip(rows, 0, max(pr.m - 1, 0))], -1)
-        self.pair_row = np.where(take_pair, np.clip(rows, 0, max(pr.m - 1, 0)), -1)
+        # a child's row is past each of its own pairs whose running weight is at most
+        # its target; the cap holds rounding inside the child's segment
+        below = np.bincount(pr.child, weights=cum[1:] <= target[pr.child], minlength=n)
+        rows = np.minimum(starts + below.astype(np.int64), pr.child_start[1:] - 1)
+        self.parent = np.where(take_pair, pr.parent[rows], -1)
+        self.pair_row = np.where(take_pair, rows, -1)
 
     def sample_allocations(self) -> None:
         """Draw the joint (blend side, component) cell for each assigned pair.
@@ -266,23 +270,11 @@ class McmcSampler:
             return
         pr, rows = self.pairs, self.pair_row[assigned]
         h0, t0 = self.cfg.h0, self.cfg.t0
-        lt, lm = pr.log_lag_frac[rows], pr.log1m_lag_frac[rows]
-        scores = np.full((h0 + self.cfg.h, assigned.size), -np.inf)
         with np.errstate(divide="ignore"):
-            if self.eps > 0.0:
-                design_t = np.stack([lt, lm, np.ones_like(lt)])
-                scores[:h0] = ((np.log(self.eps) + np.log(self.p0))[:, None]
-                               + beta_log_coefs(self.a0, self.b0, t0).T @ design_t)
-            if self.eps < 1.0:
-                # coefficient columns and log weights of each row's own mixture
-                table = np.concatenate([beta_log_coefs(self.akl, self.bkl, t0),
-                                        (np.log1p(-self.eps) + np.log(self.pkl))[None]])
-                c = np.take(np.ascontiguousarray(table.transpose(0, 2, 1)), pr.kl[rows], axis=2)
-                idio = scores[h0:]
-                np.multiply(c[0], lt, out=idio)
-                idio += c[1] * lm
-                idio += c[2]
-                idio += c[3]
+            scores = cell_log_scores(
+                pr.log_lag_frac[rows], pr.log1m_lag_frac[rows], pr.kl[rows],
+                (np.log(self.eps), beta_log_coefs(self.a0, self.b0, t0), np.log(self.p0)),
+                (np.log1p(-self.eps), beta_log_coefs(self.akl, self.bkl, t0), np.log(self.pkl)))
         scores -= scores.max(axis=0)
         cum = np.exp(scores, out=scores)
         for i in range(1, cum.shape[0]):  # running sum down the cells, one vector op per cell
@@ -398,11 +390,11 @@ class McmcSampler:
         self.sample_shapes(stats)
         self.sample_weights(stats)
 
-    def adapt_step(self, target: float = 0.35, gain: float = 0.5) -> None:
-        """Robbins-Monro tweak of the proposal scale toward a target rate."""
+    def adapt_step(self) -> None:
+        """Robbins-Monro tweak of the proposal scale toward the target acceptance rate."""
         if self._win_attempted:
             rate = self._win_accepted / self._win_attempted
-            self.mh_step = float(np.clip(self.mh_step * np.exp(gain * (rate - target)), 0.01, 5.0))
+            self.mh_step = float(np.clip(self.mh_step * np.exp(ADAPT_GAIN * (rate - ADAPT_TARGET)), 0.01, 5.0))
         self._win_accepted = 0
         self._win_attempted = 0
 

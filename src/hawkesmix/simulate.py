@@ -16,7 +16,7 @@ import numpy as np
 
 from .events import EventSequence
 from .kernels import BetaMixture, ExcitationModel
-from .likelihood import LatentState, spectral_radius
+from .likelihood import LatentState, excitation_rates, spectral_radius
 from .params import HawkesParams
 
 # Shared two-dimensional benchmark configuration used across tests and the
@@ -94,7 +94,7 @@ class ExpBlendKernels:
         z = np.full(size, -1, dtype=np.int64)
         return lags, w, z
 
-    def max_density(self, parent_dim: int, child_dim: int, n_scan: int = 0) -> float:
+    def max_density(self, parent_dim: int, child_dim: int) -> float:
         lam = float(self.rates[parent_dim, child_dim])
         return self.eps * self.common_rate + (1.0 - self.eps) * lam
 
@@ -273,17 +273,6 @@ def simulate_thinning(scenario: SimScenario) -> EventSequence:
     n = 0
     first_active = 0
 
-    def rates_at(t: float) -> np.ndarray:
-        lam = params.mu.astype(float).copy()
-        for i in range(first_active, n):
-            lag = t - t_arr[i]
-            if lag <= 0:
-                continue
-            p = int(d_arr[i])
-            for c in range(K):
-                lam[c] += params.alpha[p, c] * float(exc.density(p, c, lag))
-        return lam
-
     t = 0.0
     violations = 0
     while t < T:
@@ -295,7 +284,7 @@ def simulate_thinning(scenario: SimScenario) -> EventSequence:
         t = t + rng.exponential(1.0 / bound)
         if t >= T:
             break
-        lam = rates_at(t)
+        lam = excitation_rates(params, t_arr[first_active:n], d_arr[first_active:n], t)
         total = float(lam.sum())
         if total > bound:
             violations += 1

@@ -5,6 +5,11 @@ kernel shapes, Dirichlet factors for mixture weights, a Beta factor for the
 blend weight, one categorical per event over its admissible parents, and
 one joint categorical per admissible pair over (blend side, component).
 
+Both engines share their allocation and conjugate math: the allocation
+tables are :func:`~hawkesmix.kernels.cell_log_scores`, the sampler's
+cell-major score table, fed expected values, and the rate, weight and blend
+targets are the sampler's full conditionals at expected counts.
+
 Kernel-shape expectations of log densities are handled with a second-order
 Taylor surrogate around the variational means; its closed-form block
 updates are the only ones that are not exact coordinate maximizers of the
@@ -29,10 +34,10 @@ import numpy as np
 from scipy import special
 
 from .events import EventSequence
-from .kernels import lag_design
+from .kernels import cell_log_scores
 from .params import Hyperparams
 from .pairs import PairData, build_pairs, parent_softmax
-from .mcmc import VARIANTS
+from .mcmc import VARIANTS, alpha_full_conditional, mu_full_conditional, weight_full_conditionals
 
 logger = logging.getLogger(__name__)
 
@@ -276,107 +281,75 @@ def make_local(window: EventSequence, t0: float) -> LocalState:
 # Local updates
 # ---------------------------------------------------------------------------
 
-def _component_tables(state: VariationalState):
-    """Per-component surrogate constants and shape means, flattened."""
-    K, h0, h = state.K, state.h0, state.h
-    t0c = _taylor_bound(state.eta_a0[:, 0], state.eta_a0[:, 1],
-                        state.eta_b0[:, 0], state.eta_b0[:, 1])
-    abar0 = state.eta_a0[:, 0] / state.eta_a0[:, 1]
-    bbar0 = state.eta_b0[:, 0] / state.eta_b0[:, 1]
-    akl = state.eta_akl.reshape(K * K, h, 2)
-    bkl = state.eta_bkl.reshape(K * K, h, 2)
-    t0i = _taylor_bound(akl[..., 0], akl[..., 1], bkl[..., 0], bkl[..., 1])
-    abari = akl[..., 0] / akl[..., 1]
-    bbari = bkl[..., 0] / bkl[..., 1]
-    return t0c, abar0, bbar0, t0i, abari, bbari
+def _surrogate_coefs(eta_a: np.ndarray, eta_b: np.ndarray, t0: float) -> np.ndarray:
+    """Rows ``[abar - 1; bbar - 1; surrogate - log t0]`` of Gamma shape factors."""
+    sa, ra, sb, rb = eta_a[..., 0], eta_a[..., 1], eta_b[..., 0], eta_b[..., 1]
+    return np.stack([sa / ra - 1.0, sb / rb - 1.0, _taylor_bound(sa, ra, sb, rb) - np.log(t0)])
 
 
-def _cell_scores(local: LocalState, state: VariationalState) -> tuple[np.ndarray, np.ndarray]:
-    """Log-scale allocation scores for every pair and mixture cell.
+def _cell_scores(local: LocalState, state: VariationalState) -> np.ndarray:
+    """Cell-major allocation scores, (h0 + h, m), at expected values.
 
-    Common-side score: E[log eps] + E[log weight] + surrogate log density;
-    idiosyncratic side analogous with the pair's own components. Both are
-    the lag design times rows ``[abar - 1; bbar - 1; constant]`` whose
-    constant holds the Taylor surrogate and the expected log weights.
+    :func:`cell_log_scores` fed E[log side weight], E[log component weight]
+    and rows ``[abar - 1; bbar - 1; surrogate - log t0]``, whose constant is
+    the Taylor surrogate of the expected log normalizer.
     """
     pr = local.pairs
-    t0c, abar0, bbar0, t0i, abari, bbari = _component_tables(state)
     le, l1e = state.elog_eps_pair()
-    log_t0 = np.log(state.t0)
-    design = lag_design(pr.lag, pr.T0)
-    sc = design @ np.stack([abar0 - 1.0, bbar0 - 1.0, le + state.elog_p0() + t0c - log_t0])
-    elog_pkl = state.elog_pkl().reshape(state.K * state.K, state.h)
-    coefs = np.stack([abari - 1.0, bbari - 1.0, l1e + elog_pkl + t0i - log_t0])
-    si = np.empty((pr.m, state.h))
-    for g, rows in pr.groups():
-        si[rows] = design[rows] @ coefs[:, g]
-    return sc, si
-
-
-def _softmax_cells(sc: np.ndarray, si: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-normalize cell scores jointly; returns (qc, qi, log normalizer)."""
-    m = sc.shape[0]
-    if m == 0:
-        return sc.copy(), si.copy(), np.zeros(0)
-    top = np.maximum(sc.max(axis=1), si.max(axis=1))
-    ec = np.exp(sc - top[:, None])
-    ei = np.exp(si - top[:, None])
-    tot = ec.sum(axis=1) + ei.sum(axis=1)
-    return ec / tot[:, None], ei / tot[:, None], top + np.log(tot)
+    idio = _surrogate_coefs(state.eta_akl, state.eta_bkl, state.t0).reshape(3, state.K * state.K, state.h)
+    return cell_log_scores(pr.log_lag_frac, pr.log1m_lag_frac, pr.kl,
+                           (le, _surrogate_coefs(state.eta_a0, state.eta_b0, state.t0), state.elog_p0()),
+                           (l1e, idio, state.elog_pkl().reshape(state.K * state.K, state.h)))
 
 
 def _evidence(q: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Row sums of q * (score - log q) with zero cells contributing zero."""
-    if q.size == 0:
-        return np.zeros(q.shape[0])
+    """Column sums of q * (score - log q), cell-major, with zero cells contributing zero."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = q * (scores - np.log(q))
-    return np.where(q > 0, terms, 0.0).sum(axis=1)
+    return np.where(q > 0, terms, 0.0).sum(axis=0)
 
 
-def update_allocations(local: LocalState, state: VariationalState) -> None:
-    """Exact coordinate update of every pair's joint allocation table."""
-    sc, si = _cell_scores(local, state)
-    local.qc, local.qi, _ = _softmax_cells(sc, si)
+def _allocation_evidence(local: LocalState, state: VariationalState) -> np.ndarray:
+    """Each pair's expected cell score plus allocation entropy under its current table."""
+    scores = _cell_scores(local, state)
+    return _evidence(local.qc.T, scores[:state.h0]) + _evidence(local.qi.T, scores[state.h0:])
 
 
-def update_branching(local: LocalState, state: VariationalState) -> None:
+def update_allocations(local: LocalState, state: VariationalState) -> np.ndarray:
+    """Exact coordinate update of every pair's joint allocation table.
+
+    Returns each pair's log normalizer, its allocation evidence at the new table.
+    """
+    scores = _cell_scores(local, state)
+    top = scores.max(axis=0)
+    q = np.exp(scores - top)
+    tot = q.sum(axis=0)
+    q /= tot
+    local.qc, local.qi = q[:state.h0].T, q[state.h0:].T
+    return top + np.log(tot)
+
+
+def update_branching(local: LocalState, state: VariationalState,
+                     evidence: np.ndarray | None = None) -> None:
     """Exact coordinate update of every event's parent distribution.
 
     A candidate parent's score is its expected log interaction rate plus
     the pair's allocation evidence (expected cell score plus allocation
-    entropy); the immigrant score is the expected log background rate.
+    entropy), computed here unless given; the immigrant score is the
+    expected log background rate.
     """
     pr, win = local.pairs, local.events
-    imm_score = state.elog_mu()[win.dims]
-    if pr.m == 0:
-        local.eta_imm = np.ones(win.n)
-        local.eta_pair = np.zeros(0)
-        return
-    sc, si = _cell_scores(local, state)
-    pair_score = (state.elog_alpha().reshape(-1)[pr.kl]
-                  + _evidence(local.qc, sc) + _evidence(local.qi, si))
-    w, imm_w, tot = parent_softmax(pair_score, imm_score, pr)
+    if evidence is None:
+        evidence = _allocation_evidence(local, state)
+    pair_score = state.elog_alpha().reshape(-1)[pr.kl] + evidence
+    w, imm_w, tot = parent_softmax(pair_score, state.elog_mu()[win.dims], pr)
     local.eta_imm = imm_w / tot
     local.eta_pair = w / tot[pr.child]
 
 
 def update_local(local: LocalState, state: VariationalState) -> None:
-    """Allocation tables then parent distributions, sharing one score pass."""
-    pr, win = local.pairs, local.events
-    imm_score = state.elog_mu()[win.dims]
-    if pr.m == 0:
-        local.eta_imm = np.ones(win.n)
-        local.eta_pair = np.zeros(0)
-        local.qc = np.zeros((0, state.h0))
-        local.qi = np.zeros((0, state.h))
-        return
-    sc, si = _cell_scores(local, state)
-    local.qc, local.qi, lse = _softmax_cells(sc, si)
-    pair_score = state.elog_alpha().reshape(-1)[pr.kl] + lse
-    w, imm_w, tot = parent_softmax(pair_score, imm_score, pr)
-    local.eta_imm = imm_w / tot
-    local.eta_pair = w / tot[pr.child]
+    """Allocation tables, then parent distributions fed the tables' log normalizers."""
+    update_branching(local, state, update_allocations(local, state))
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +372,18 @@ class WindowStats:
 
 def window_stats(local: LocalState, state: VariationalState, kappa: float) -> WindowStats:
     pr, win = local.pairs, local.events
-    K, h = state.K, state.h
+    K = state.K
     inv = 1.0 / kappa
     imm = np.bincount(win.dims, weights=local.eta_imm, minlength=K) * inv
     pair = np.bincount(pr.kl, weights=local.eta_pair, minlength=K * K) * inv
     # design.T @ weights stacks the allocated sums of log(lag/T0) and
-    # log(1 - lag/T0) over the occupancy counts, per component
-    design = lag_design(pr.lag, pr.T0)
-    common = design.T @ (local.eta_pair[:, None] * local.qc) * inv
-    wi = local.eta_pair[:, None] * local.qi
-    idio = np.zeros((3, K * K, h))
-    for g, rows in pr.groups():
-        idio[:, g] = design[rows].T @ wi[rows]
-    idio *= inv
+    # log(1 - lag/T0) over the occupancy counts, per component; in kl_order
+    # every group's design is one contiguous slice
+    order, design, start = pr.kl_order, pr.kl_design, pr.kl_start
+    w = local.eta_pair[order]
+    wc, wi = local.qc.T[:, order] * w, local.qi.T[:, order] * w
+    common = design.T @ wc.T * inv
+    idio = np.stack([design[sl].T @ wi[:, sl].T for sl in map(slice, start[:-1], start[1:])], axis=1) * inv
     return WindowStats(imm, pair.reshape(K, K), common[2], common[0], common[1],
                        idio[2], idio[0], idio[1])
 
@@ -421,32 +393,28 @@ def _blend(current: np.ndarray, target: np.ndarray, rho: float, label: str) -> n
 
 
 def update_mu(state: VariationalState, stats: WindowStats, rho: float) -> None:
-    target = np.column_stack([state.hyper.e + stats.imm_counts,
-                              np.full(state.K, state.hyper.f + state.T)])
-    state.eta_mu = _blend(state.eta_mu, target, rho, "mu")
+    shape, rate = mu_full_conditional(state.hyper, stats.imm_counts, state.T)
+    state.eta_mu = _blend(state.eta_mu, np.column_stack([shape, np.full(state.K, rate)]), rho, "mu")
 
 
 def update_alpha(state: VariationalState, stats: WindowStats, rho: float) -> None:
-    target = np.empty_like(state.eta_alpha)
-    target[..., 0] = state.hyper.g + stats.pair_counts
-    target[..., 1] = state.hyper.h + state.n_parent[:, None]
-    state.eta_alpha = _blend(state.eta_alpha, target, rho, "alpha")
+    shape, rate = alpha_full_conditional(state.hyper, stats.pair_counts, state.n_parent[:, None])
+    state.eta_alpha = _blend(state.eta_alpha, np.stack(np.broadcast_arrays(shape, rate), axis=-1), rho, "alpha")
 
 
 def update_weights(state: VariationalState, stats: WindowStats, rho: float) -> None:
+    dir0, dirkl, _ = weight_full_conditionals(state.hyper, stats.n_common, stats.n_idio, state.h0, state.h)
     if state.variant != "IDIO":
-        target = state.hyper.gamma_dp / state.h0 + stats.n_common
-        state.eta_p0 = _blend(state.eta_p0, target, rho, "p0")
+        state.eta_p0 = _blend(state.eta_p0, dir0, rho, "p0")
     if state.variant != "COMMON":
-        target = state.hyper.gamma_dp / state.h + stats.n_idio.reshape(state.K, state.K, state.h)
-        state.eta_pkl = _blend(state.eta_pkl, target, rho, "p")
+        state.eta_pkl = _blend(state.eta_pkl, dirkl.reshape(state.eta_pkl.shape), rho, "p")
 
 
 def update_eps(state: VariationalState, stats: WindowStats, rho: float) -> None:
     if state.variant != "RANDOM":
         return
-    target = np.array([1.0 + stats.n_common.sum(), 1.0 + stats.n_idio.sum()])
-    state.eta_eps = _blend(state.eta_eps, target, rho, "eps")
+    _, _, eps_beta = weight_full_conditionals(state.hyper, stats.n_common, stats.n_idio, state.h0, state.h)
+    state.eta_eps = _blend(state.eta_eps, np.array(eps_beta), rho, "eps")
 
 
 def _shape_targets(eta_a: np.ndarray, eta_b: np.ndarray, n: np.ndarray,
@@ -533,12 +501,9 @@ def elbo_value(state: VariationalState, local: LocalState) -> float:
     """
     pr, win = local.pairs, local.events
     hyper = state.hyper
-    sc, si = _cell_scores(local, state)
     value = float(local.eta_imm @ state.elog_mu()[win.dims])
-    if pr.m:
-        pair_term = (state.elog_alpha().reshape(-1)[pr.kl]
-                     + _evidence(local.qc, sc) + _evidence(local.qi, si))
-        value += float(local.eta_pair @ pair_term)
+    pair_term = state.elog_alpha().reshape(-1)[pr.kl] + _allocation_evidence(local, state)
+    value += float(local.eta_pair @ pair_term)
     with np.errstate(divide="ignore", invalid="ignore"):
         ent_imm = np.where(local.eta_imm > 0, local.eta_imm * np.log(local.eta_imm), 0.0)
         ent_pair = np.where(local.eta_pair > 0, local.eta_pair * np.log(local.eta_pair), 0.0)

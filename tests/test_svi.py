@@ -165,6 +165,93 @@ class TestLocalUpdates:
             np.testing.assert_allclose(rows, 1.0, atol=1e-12)
 
 
+def three_dim_sequence(rng):
+    """K=3 events where dimension 2 only ends the sequence, so no pair has parent dim 2."""
+    times = np.sort(rng.uniform(0.0, 6.0, size=30))
+    times = np.append(times, times[-1] + 0.3)
+    dims = np.append(rng.integers(0, 2, size=30), 2)
+    return EventSequence(times, dims, T=7.0, K=3)
+
+
+def randomized_state(rng, cfg, seq):
+    state = sv.init_state(cfg, seq)
+    for name in ("eta_mu", "eta_alpha", "eta_p0", "eta_a0", "eta_b0",
+                 "eta_pkl", "eta_akl", "eta_bkl", "eta_eps"):
+        arr = getattr(state, name)
+        if arr is not None:
+            setattr(state, name, arr * rng.uniform(0.2, 5.0, size=arr.shape))
+    return state
+
+
+class TestAllocationTable:
+    """The cell-major allocation table against its closed form, cell by cell."""
+
+    @pytest.mark.parametrize("variant", ["RANDOM", "IDIO", "COMMON"])
+    def test_tables_match_closed_form(self, rng, variant):
+        seq = three_dim_sequence(rng)
+        cfg = small_config(h0=3, h=2, variant=variant)
+        state = randomized_state(rng, cfg, seq)
+        local = sv.make_local(seq, cfg.t0)
+        sv.update_local(local, state)
+        pr = local.pairs
+        assert np.any(np.diff(pr.kl_start) == 0) and pr.m > 0
+        le, l1e = state.elog_eps_pair()
+        elog_p0, elog_pkl = state.elog_p0(), state.elog_pkl()
+        for r in range(pr.m):
+            p, c, lag = pr.parent_dim[r], pr.child_dim[r], pr.lag[r]
+            common = [le + elog_p0[k] + q_expected_log_beta(state.eta_a0[k], state.eta_b0[k], lag, cfg.t0)
+                      for k in range(cfg.h0)]
+            idio = [l1e + elog_pkl[p, c, k]
+                    + q_expected_log_beta(state.eta_akl[p, c, k], state.eta_bkl[p, c, k], lag, cfg.t0)
+                    for k in range(cfg.h)]
+            log_norm = special.logsumexp(common + idio)
+            np.testing.assert_allclose(local.qc[r], np.exp(np.array(common) - log_norm), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(local.qi[r], np.exp(np.array(idio) - log_norm), rtol=0, atol=1e-12)
+        if variant == "IDIO":
+            assert np.all(local.qc == 0.0)
+        if variant == "COMMON":
+            assert np.all(local.qi == 0.0)
+
+    def test_window_stats_match_hand_loop(self, rng):
+        seq = three_dim_sequence(rng)
+        cfg = small_config(h0=3, h=2)
+        state = randomized_state(rng, cfg, seq)
+        local = sv.make_local(seq, cfg.t0)
+        sv.update_local(local, state)
+        pr, kappa = local.pairs, 0.4
+        n0, s0t, s0m = np.zeros(cfg.h0), np.zeros(cfg.h0), np.zeros(cfg.h0)
+        nkl, skt, skm = np.zeros((9, cfg.h)), np.zeros((9, cfg.h)), np.zeros((9, cfg.h))
+        pair = np.zeros(9)
+        for r in range(pr.m):
+            g, w = pr.kl[r], local.eta_pair[r]
+            lt, lm = np.log(pr.lag[r] / cfg.t0), np.log(1.0 - pr.lag[r] / cfg.t0)
+            pair[g] += w
+            n0 += w * local.qc[r]
+            s0t += w * local.qc[r] * lt
+            s0m += w * local.qc[r] * lm
+            nkl[g] += w * local.qi[r]
+            skt[g] += w * local.qi[r] * lt
+            skm[g] += w * local.qi[r] * lm
+        stats = sv.window_stats(local, state, kappa)
+        for got, want in ((stats.pair_counts.reshape(-1), pair), (stats.n_common, n0),
+                          (stats.s_common_t, s0t), (stats.s_common_m, s0m), (stats.n_idio, nkl),
+                          (stats.s_idio_t, skt), (stats.s_idio_m, skm)):
+            np.testing.assert_allclose(got, want / kappa, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(stats.imm_counts, np.bincount(seq.dims, weights=local.eta_imm) / kappa,
+                                   rtol=1e-12)
+
+    def test_update_local_is_allocations_then_branching(self, rng):
+        seq = three_dim_sequence(rng)
+        cfg = small_config(h0=3, h=2)
+        state = randomized_state(rng, cfg, seq)
+        fused, split = sv.make_local(seq, cfg.t0), sv.make_local(seq, cfg.t0)
+        sv.update_local(fused, state)
+        sv.update_allocations(split, state)
+        sv.update_branching(split, state)
+        for name in ("qc", "qi", "eta_imm", "eta_pair"):
+            np.testing.assert_allclose(getattr(fused, name), getattr(split, name), rtol=1e-12, atol=1e-15)
+
+
 class TestGlobalUpdates:
     def test_zero_step_keeps_state(self):
         seq = small_sequence()
