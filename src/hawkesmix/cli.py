@@ -6,11 +6,17 @@ accepted — its embedded config is reused, which reproduces outputs
 bit-for-bit), runs its tasks with replication-level parallelism, and writes
 a manifest recording the resolved config, seeds, package version, task
 statuses, and wall time. Exit status is 0 only if every task succeeded.
+
+Config sections (``mcmc``, ``svi``, ``ingest``) take the fields of the
+matching config dataclass, whose defaults apply to absent keys; an unknown
+key fails the task. Each fit records its resolved config in ``run.json``,
+from which ``evaluate`` takes the engine, variant and kernel support.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -63,45 +69,67 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, tasks: list[dict],
                     t_start: float) -> bool:
     ok = all(t["status"] == "ok" for t in tasks)
-    manifest = {
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "manifest.json", {
         "command": command,
         "config": config,
         "version": __version__,
         "wall_time_s": time.time() - t_start,
         "tasks": tasks,
         "ok": ok,
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    })
     return ok
 
 
-def _run_tasks(tasks: list[tuple[str, callable, tuple]], threads: int) -> list[dict]:
-    """Run (name, fn, args) tasks, isolating failures per task."""
-    results = []
+def _config(cls, section: dict, **fixed):
+    """A ``cls`` config from a JSON section plus the values the command fixes.
+
+    Absent keys take the dataclass defaults, and values are cast to the type
+    of their default; a ``hyper`` sub-section becomes :class:`Hyperparams`.
+    A key that is not a field, or that the command fixes, is a ValueError.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(k for k in section if k not in fields or k in fixed)
+    if unknown:
+        raise ValueError(f"{cls.__name__} does not take key(s) {', '.join(unknown)}")
+    kw = dict(section, **fixed)
+    for name, value in kw.items():
+        kind = type(fields[name].default)
+        if kind in (int, float, bool, str):
+            kw[name] = kind(value)
+    if "hyper" in kw:
+        kw["hyper"] = _config(Hyperparams, kw["hyper"])
+    return cls(**kw)
+
+
+def _run_task(name: str, fn, *args) -> tuple[dict, object]:
+    """``fn(*args)`` as a task: its status entry and its return value (None
+    on failure, where the entry records the traceback)."""
+    try:
+        value = fn(*args)
+    except Exception:
+        return {"name": name, "status": "failed", "error": traceback.format_exc()}, None
+    return {"name": name, "status": "ok"}, value
+
+
+def _run_tasks(tasks: list[tuple[str, callable, tuple]], threads: int) -> list[tuple[dict, object]]:
+    """Run (name, fn, args) tasks, isolating failures per task; results in task order."""
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [(name, pool.submit(fn, *args)) for name, fn, args in tasks]
-            for name, fut in futures:
-                try:
-                    fut.result()
-                    results.append({"name": name, "status": "ok"})
-                except Exception as exc:
-                    results.append({"name": name, "status": "failed", "error": repr(exc)})
-    else:
-        for name, fn, args in tasks:
-            try:
-                fn(*args)
-                results.append({"name": name, "status": "ok"})
-            except Exception as exc:
-                traceback.print_exc()
-                results.append({"name": name, "status": "failed", "error": repr(exc)})
-    return results
+            # result() re-raises a task's exception with the worker's
+            # traceback attached, or BrokenProcessPool if its worker died
+            return [_run_task(name, fut.result) for name, fut in futures]
+    return [_run_task(name, fn, *args) for name, fn, args in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -140,74 +168,34 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int, threads: int) -> list[d
             dest = out_dir / f"eps{eps:g}" / f"rep{rep}"
             tasks.append((f"simulate eps={eps:g} rep={rep}", _simulate_one,
                           (kind, float(eps), T, _task_seed(seed, 0, ei, rep), str(dest))))
-    return _run_tasks(tasks, threads)
+    return [entry for entry, _ in _run_tasks(tasks, threads)]
 
 
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
 
-def _fit_mcmc_one(events_csv: str, cfg_doc: dict, seed: int, out_dir: str) -> float:
+def _fit_one(engine: str, events_csv: str, section: dict, seed: int, out_dir: str) -> float:
+    """One restart of a fit; returns its selection score."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seq = load_events(events_csv)
-    cfg = _mcmc_config(cfg_doc, seed)
     t0 = time.time()
-    samples = run_chain(cfg, seq)
-    save_samples(samples, out / "samples.csv")
-    score = samples.mean_loglik()
-    with open(out / "run.json", "w") as fh:
-        json.dump({"seed": seed, "mean_loglik": score,
-                   "accept_rates": samples.accept_rates,
-                   "wall_time_s": time.time() - t0}, fh, indent=2)
-        fh.write("\n")
+    if engine == "mcmc":
+        cfg = _config(McmcConfig, section, seed=seed)
+        samples = run_chain(cfg, seq)
+        save_samples(samples, out / "samples.csv")
+        score = samples.mean_loglik()
+        run = {"seed": seed, "mean_loglik": score, "accept_rates": samples.accept_rates}
+    else:
+        cfg = _config(SviConfig, section, seed=seed)
+        state, trace = run_svi(cfg, seq)
+        save_state(state, out / "state.json")
+        save_trace(trace, out / "elbo_trace.csv")
+        score = float(trace[-1, 1])
+        run = {"seed": seed, "final_elbo": score}
+    _write_json(out / "run.json", dict(run, wall_time_s=time.time() - t0, config=dataclasses.asdict(cfg)))
     return score
-
-
-def _fit_svi_one(events_csv: str, cfg_doc: dict, seed: int, out_dir: str) -> float:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seq = load_events(events_csv)
-    cfg = _svi_config(cfg_doc, seed)
-    t0 = time.time()
-    state, trace = run_svi(cfg, seq)
-    save_state(state, out / "state.json")
-    save_trace(trace, out / "elbo_trace.csv")
-    score = float(trace[-1, 1])
-    with open(out / "run.json", "w") as fh:
-        json.dump({"seed": seed, "final_elbo": score,
-                   "wall_time_s": time.time() - t0}, fh, indent=2)
-        fh.write("\n")
-    return score
-
-
-def _mcmc_config(doc: dict, seed: int) -> McmcConfig:
-    hyper = Hyperparams(**doc.get("hyper", {}))
-    return McmcConfig(
-        iterations=int(doc.get("iterations", 4000)),
-        burn_in=int(doc.get("burn_in", doc.get("iterations", 4000) // 2)),
-        variant=doc.get("variant", "RANDOM"),
-        h0=int(doc.get("h0", 10)), h=int(doc.get("h", 10)),
-        t0=float(doc.get("t0", 1.0)),
-        mh_step=float(doc.get("mh_step", 0.3)),
-        adapt_mh=bool(doc.get("adapt_mh", True)),
-        compensator=doc.get("compensator", "approx"),
-        hyper=hyper, seed=seed)
-
-
-def _svi_config(doc: dict, seed: int) -> SviConfig:
-    hyper = Hyperparams(**doc.get("hyper", {}))
-    return SviConfig(
-        iterations=int(doc.get("iterations", 2000)),
-        kappa=float(doc.get("kappa", 0.2)),
-        rho0=float(doc.get("rho0", 1.0)),
-        tau1=float(doc.get("tau1", 1.0)),
-        tau2=float(doc.get("tau2", 0.7)),
-        h0=int(doc.get("h0", 10)), h=int(doc.get("h", 10)),
-        t0=float(doc.get("t0", 1.0)),
-        variant=doc.get("variant", "RANDOM"),
-        hyper=hyper, seed=seed,
-        elbo_every=int(doc.get("elbo_every", 25)))
 
 
 def _dataset_paths(data: Path) -> list[tuple[str, Path]]:
@@ -228,32 +216,24 @@ def cmd_fit(config: dict, out_dir: Path, seed: int, threads: int, engine: str) -
     restarts = int(config.get("restarts", 1))
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    fit_doc = config.get("mcmc" if engine == "mcmc" else "svi", {})
-    runner = _fit_mcmc_one if engine == "mcmc" else _fit_svi_one
-    tasks = []
-    for di, (label, events_csv) in enumerate(_dataset_paths(Path(config["data"]))):
-        for r in range(restarts):
-            dest = out_dir / label / f"restart{r}"
-            tasks.append((f"fit {label} restart={r}", runner,
-                          (str(events_csv), fit_doc, _task_seed(seed, 1, di, r), str(dest))))
+    section = config.get(engine, {})
+    datasets = _dataset_paths(Path(config["data"]))
+    tasks = [(f"fit {label} restart={r}", _fit_one,
+              (engine, str(events_csv), section, _task_seed(seed, 1, di, r), str(out_dir / label / f"restart{r}")))
+             for di, (label, events_csv) in enumerate(datasets) for r in range(restarts)]
     results = _run_tasks(tasks, threads)
-    # restart selection per dataset: highest mean log-likelihood for the
-    # sampler, highest final bound for the variational engine
-    for label, _ in _dataset_paths(Path(config["data"])):
-        scores = []
-        for r in range(restarts):
-            run_json = out_dir / label / f"restart{r}" / "run.json"
-            if run_json.exists():
-                with open(run_json) as fh:
-                    doc = json.load(fh)
-                scores.append((r, doc.get("mean_loglik", doc.get("final_elbo"))))
+    # restart selection per dataset over the restarts that succeeded: highest
+    # mean log-likelihood for the sampler, highest final bound for the
+    # variational engine, the lowest restart on ties
+    for di, (label, _) in enumerate(datasets):
+        runs = results[di * restarts:(di + 1) * restarts]
+        scores = {r: score for r, (entry, score) in enumerate(runs) if entry["status"] == "ok"}
         if scores:
-            best = max(scores, key=lambda t: (t[1], -t[0]))[0]
-            with open(out_dir / label / "selected.json", "w") as fh:
-                json.dump({"selected_restart": best, "engine": engine,
-                           "scores": dict((str(r), s) for r, s in scores)}, fh, indent=2)
-                fh.write("\n")
-    return results
+            best = max(scores, key=lambda r: (scores[r], -r))
+            _write_json(out_dir / label / "selected.json", {
+                "selected_restart": best, "engine": engine,
+                "scores": {str(r): s for r, s in scores.items()}})
+    return [entry for entry, _ in results]
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +245,14 @@ def _truth_evaluator(truth_path: Path):
         doc = json.load(fh)
     if isinstance(doc, dict) and doc.get("kind") == "exponential":
         params = benchmark_exponential_params(float(doc["eps"]))
-        return lambda i, j, x: params.excitation.density(i, j, x)
-    params = load_params(truth_path)
-    return lambda i, j, x: params.excitation.density(i, j, x)
+    else:
+        params = load_params(truth_path)
+    return params.excitation.density
 
 
-def _mcmc_curves(run_dir: Path, fit_doc: dict, grid: GridSpec, max_draws: int) -> tuple[CurveSamples, np.ndarray]:
+def _mcmc_curves(run_dir: Path, cfg: McmcConfig, grid: GridSpec, max_draws: int) -> tuple[CurveSamples, np.ndarray]:
     from .mcmc import load_samples
 
-    cfg = _mcmc_config(fit_doc, seed=0)
     samples = load_samples(run_dir / "samples.csv", cfg)
     step = max(1, samples.n_draws // max_draws)
     sel = slice(0, None, step)
@@ -293,62 +272,65 @@ def _svi_curves(run_dir: Path, grid: GridSpec, n_draws: int, seed: int) -> tuple
 def cmd_evaluate(config: dict, out_dir: Path, seed: int, threads: int) -> list[dict]:
     corpus = Path(config["corpus"])
     fits = Path(config["fits"])
-    engine = config.get("engine", "mcmc")
-    variant = config.get("variant", "RANDOM")
-    grid = GridSpec(int(config.get("grid_points", 512)), float(config.get("t0", 1.0)))
+    grid_points = int(config.get("grid_points", 512))
     level = float(config.get("level", 0.95))
     n_draws = int(config.get("eval_draws", 500))
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_csv = out_dir / "metrics.csv"
     if metrics_csv.exists():
         metrics_csv.unlink()
+
+    def evaluate(index: int, label: str, truth_json: Path):
+        """Metrics of the dataset's selected fit, on that fit's kernel support."""
+        parts = label.replace("\\", "/").split("/")
+        eps_true = parts[0].removeprefix("eps") if parts[0].startswith("eps") else ""
+        with open(fits / label / "selected.json") as fh:
+            selected = json.load(fh)
+        run_dir = fits / label / f"restart{selected['selected_restart']}"
+        with open(run_dir / "run.json") as fh:
+            fit_config = json.load(fh)["config"]
+        engine, variant = selected["engine"], fit_config["variant"]
+        grid = GridSpec(grid_points, float(fit_config["t0"]))
+        if engine == "mcmc":
+            curves, alpha_draws = _mcmc_curves(run_dir, _config(McmcConfig, fit_config), grid, n_draws)
+        else:
+            curves, alpha_draws = _svi_curves(run_dir, grid, n_draws, _task_seed(seed, 2, index))
+        truth = evaluate_truth(_truth_evaluator(truth_json), curves.K, grid)
+        vals = {
+            "rmise": rmise(truth, curves),
+            "acr": coverage_acr(curves, truth, level),
+            "interval_score": interval_score(curves, truth, level),
+        }
+        append_metric_rows(metrics_csv, [
+            {"method": engine, "variant": variant, "eps_true": eps_true,
+             "seed": label, "metric": m, "value": v} for m, v in vals.items()])
+        return engine, variant, vals, curves, alpha_draws
+
+    # one task per dataset, run here in turn: only the first fit's curves are kept
     tasks: list[dict] = []
-    rows_by_metric: dict[str, list[float]] = {"rmise": [], "acr": [], "interval_score": []}
-    first_alpha: np.ndarray | None = None
-    first_curves: CurveSamples | None = None
-    for label, ds in _dataset_paths(corpus):
-        name = f"evaluate {label}"
-        try:
-            parts = label.replace("\\", "/").split("/")
-            eps_true = parts[0].removeprefix("eps") if parts[0].startswith("eps") else ""
-            sel_path = fits / label / "selected.json"
-            with open(sel_path) as fh:
-                best = json.load(fh)["selected_restart"]
-            run_dir = fits / label / f"restart{best}"
-            if engine == "mcmc":
-                curves, alpha_draws = _mcmc_curves(run_dir, config.get("mcmc", {}), grid, n_draws)
-            else:
-                curves, alpha_draws = _svi_curves(run_dir, grid, n_draws, _task_seed(seed, 2, len(tasks)))
-            truth = evaluate_truth(_truth_evaluator(ds.parent / "truth.json"), curves.K, grid)
-            vals = {
-                "rmise": rmise(truth, curves),
-                "acr": coverage_acr(curves, truth, level),
-                "interval_score": interval_score(curves, truth, level),
-            }
-            append_metric_rows(metrics_csv, [
-                {"method": engine, "variant": variant, "eps_true": eps_true,
-                 "seed": label, "metric": m, "value": v} for m, v in vals.items()])
-            for m, v in vals.items():
-                rows_by_metric[m].append(v)
-            if first_curves is None:
-                first_curves, first_alpha = curves, alpha_draws
-            tasks.append({"name": name, "status": "ok"})
-        except Exception as exc:
-            traceback.print_exc()
-            tasks.append({"name": name, "status": "failed", "error": repr(exc)})
-    # aggregate table: mean (sd) per metric; sd empty for one replication
+    values: dict[tuple[str, str, str], list[float]] = {}
+    first: tuple[CurveSamples, np.ndarray] | None = None
+    for index, (label, ds) in enumerate(_dataset_paths(corpus)):
+        entry, result = _run_task(f"evaluate {label}", evaluate, index, label, ds.parent / "truth.json")
+        tasks.append(entry)
+        if result is None:
+            continue
+        engine, variant, vals, curves, alpha_draws = result
+        for m, v in vals.items():
+            values.setdefault((engine, variant, m), []).append(v)
+        if first is None:
+            first = curves, alpha_draws
+    # aggregate table: mean (sd) per fit method, variant and metric; sd empty
+    # for one replication
     with open(out_dir / "summary.csv", "w") as fh:
         fh.write("method,variant,metric,mean,sd,n\n")
-        for m, vals in rows_by_metric.items():
-            if not vals:
-                continue
+        for (engine, variant, m), vals in values.items():
             mean = float(np.mean(vals))
             sd = "" if len(vals) < 2 else repr(float(np.std(vals, ddof=1)))
             fh.write(f"{engine},{variant},{m},{mean!r},{sd},{len(vals)}\n")
-    if first_curves is not None:
-        save_bands(out_dir / "bands.csv", first_curves, level)
-        save_spectral_histogram(out_dir / "spectral_histogram.csv",
-                                spectral_histogram(first_alpha))
+    if first is not None:
+        save_bands(out_dir / "bands.csv", first[0], level)
+        save_spectral_histogram(out_dir / "spectral_histogram.csv", spectral_histogram(first[1]))
     return tasks
 
 
@@ -356,31 +338,24 @@ def cmd_evaluate(config: dict, out_dir: Path, seed: int, threads: int) -> list[d
 # ingest
 # ---------------------------------------------------------------------------
 
+def _ingest_one(section: dict, out_dir: Path) -> None:
+    section = dict(section)
+    messages, orderbook = section.pop("messages"), section.pop("orderbook", None)
+    cfg = _config(IngestConfig, section)
+    report = parse_messages(messages)
+    quotes = read_orderbook_quotes(orderbook) if orderbook else None
+    seq = build_event_sequence(report.messages, cfg, quotes)
+    save_events(seq, out_dir / "events.csv")
+    _write_json(out_dir / "ingest_report.json", {"messages": len(report.messages),
+                                                 "malformed": report.malformed,
+                                                 "events": seq.n,
+                                                 "per_dimension": seq.counts().tolist()})
+
+
 def cmd_ingest(config: dict, out_dir: Path, seed: int, threads: int) -> list[dict]:
-    doc = config.get("ingest", config)
-    cfg = IngestConfig(
-        session_start=float(doc.get("session_start", 9.5 * 3600)),
-        session_end=float(doc.get("session_end", 16.0 * 3600)),
-        min_volume=int(doc.get("min_volume", 100)),
-        level=int(doc.get("level", 1)),
-        include_hidden=bool(doc.get("include_hidden", True)))
+    section = config["ingest"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = f"ingest {doc['messages']}"
-    try:
-        report = parse_messages(doc["messages"])
-        quotes = read_orderbook_quotes(doc["orderbook"]) if doc.get("orderbook") else None
-        seq = build_event_sequence(report.messages, cfg, quotes)
-        save_events(seq, out_dir / "events.csv")
-        with open(out_dir / "ingest_report.json", "w") as fh:
-            json.dump({"messages": len(report.messages),
-                       "malformed": report.malformed,
-                       "events": seq.n,
-                       "per_dimension": seq.counts().tolist()}, fh, indent=2)
-            fh.write("\n")
-        return [{"name": name, "status": "ok"}]
-    except Exception as exc:
-        traceback.print_exc()
-        return [{"name": name, "status": "failed", "error": repr(exc)}]
+    return [_run_task(f"ingest {section['messages']}", _ingest_one, section, out_dir)[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ ADAPT_GAIN = 0.5
 class McmcConfig:
     """Chain length, model variant, truncations, and proposal settings."""
 
-    iterations: int
-    burn_in: int
+    iterations: int = 4000
+    burn_in: int | None = None  # half the iterations when unset
     variant: str = "RANDOM"
     h0: int = 10
     h: int = 10
@@ -51,6 +51,8 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.burn_in is None:
+            object.__setattr__(self, "burn_in", self.iterations // 2)
         if self.burn_in < 0 or self.burn_in >= self.iterations:
             raise ValueError("need 0 <= burn_in < iterations")
         if self.variant not in VARIANTS:

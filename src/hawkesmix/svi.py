@@ -48,7 +48,7 @@ _POSITIVE_FLOOR = 1e-10
 class SviConfig:
     """Subsampling ratio, learning-rate schedule, truncations, and variant."""
 
-    iterations: int
+    iterations: int = 2000
     kappa: float = 0.2
     rho0: float = 1.0
     tau1: float = 1.0
@@ -213,14 +213,18 @@ class VariationalState:
 
 @dataclass
 class LocalState:
-    """Window events, their pair structure, and local categorical tables."""
+    """Window events, their pair structure, and local categorical tables.
+
+    The allocation tables ``qc``/``qi`` are None until the first
+    :func:`update_allocations`.
+    """
 
     events: EventSequence
     pairs: PairData
     eta_imm: np.ndarray
     eta_pair: np.ndarray
-    qc: np.ndarray
-    qi: np.ndarray
+    qc: np.ndarray | None = None
+    qi: np.ndarray | None = None
 
 
 def init_state(cfg: SviConfig, seq: EventSequence) -> VariationalState:
@@ -263,18 +267,9 @@ def init_state(cfg: SviConfig, seq: EventSequence) -> VariationalState:
 
 
 def make_local(window: EventSequence, t0: float) -> LocalState:
-    """Pair structure for a window; local tables start uninformative."""
+    """Pair structure for a window; parent tables start uninformative."""
     pairs = build_pairs(window, t0)
-    n, m = window.n, pairs.m
-    h0 = 1  # placeholder sizes; tables are resized on first update
-    return LocalState(
-        events=window,
-        pairs=pairs,
-        eta_imm=np.ones(n),
-        eta_pair=np.zeros(m),
-        qc=np.zeros((m, h0)),
-        qi=np.zeros((m, h0)),
-    )
+    return LocalState(events=window, pairs=pairs, eta_imm=np.ones(window.n), eta_pair=np.zeros(pairs.m))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +306,8 @@ def _evidence(q: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 def _allocation_evidence(local: LocalState, state: VariationalState) -> np.ndarray:
     """Each pair's expected cell score plus allocation entropy under its current table."""
+    if local.qc is None:
+        raise ValueError("no allocation tables yet: run update_allocations first")
     scores = _cell_scores(local, state)
     return _evidence(local.qc.T, scores[:state.h0]) + _evidence(local.qi.T, scores[state.h0:])
 
@@ -492,17 +489,21 @@ def _kl_dirichlet(q: np.ndarray, p0: float) -> np.ndarray:
             + ((q - p0) * (special.digamma(q) - np.expand_dims(special.digamma(qsum), -1))).sum(axis=-1))
 
 
-def elbo_value(state: VariationalState, local: LocalState) -> float:
+def elbo_value(state: VariationalState, local: LocalState,
+               evidence: np.ndarray | None = None) -> float:
     """Surrogate evidence bound at the current local and global parameters.
 
     Exact except that every expected log kernel normalizer is replaced by
     its Taylor surrogate; conjugate-block coordinate updates therefore
-    increase this value monotonically.
+    increase this value monotonically. ``evidence`` is each pair's
+    allocation evidence, computed here unless given.
     """
     pr, win = local.pairs, local.events
     hyper = state.hyper
+    if evidence is None:
+        evidence = _allocation_evidence(local, state)
     value = float(local.eta_imm @ state.elog_mu()[win.dims])
-    pair_term = state.elog_alpha().reshape(-1)[pr.kl] + _allocation_evidence(local, state)
+    pair_term = state.elog_alpha().reshape(-1)[pr.kl] + evidence
     value += float(local.eta_pair @ pair_term)
     with np.errstate(divide="ignore", invalid="ignore"):
         ent_imm = np.where(local.eta_imm > 0, local.eta_imm * np.log(local.eta_imm), 0.0)
@@ -533,8 +534,9 @@ def elbo(state: VariationalState, seq: EventSequence, local: LocalState | None =
     """
     if local is None:
         local = make_local(seq, state.t0)
-    update_local(local, state)
-    return elbo_value(state, local)
+    evidence = update_allocations(local, state)
+    update_branching(local, state, evidence)
+    return elbo_value(state, local, evidence)
 
 
 # ---------------------------------------------------------------------------

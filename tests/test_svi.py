@@ -251,6 +251,25 @@ class TestAllocationTable:
         for name in ("qc", "qi", "eta_imm", "eta_pair"):
             np.testing.assert_allclose(getattr(fused, name), getattr(split, name), rtol=1e-12, atol=1e-15)
 
+    def test_branching_needs_allocation_tables(self, rng):
+        seq = three_dim_sequence(rng)
+        cfg = small_config(h0=3, h=3)
+        state = randomized_state(rng, cfg, seq)
+        local = sv.make_local(seq, cfg.t0)
+        assert local.qc is None and local.qi is None
+        with pytest.raises(ValueError, match="update_allocations"):
+            sv.update_branching(local, state)
+        with pytest.raises(ValueError, match="update_allocations"):
+            sv.elbo_value(state, local)
+
+    def test_elbo_reuses_allocation_normalizer(self, rng):
+        seq = three_dim_sequence(rng)
+        cfg = small_config(h0=3, h=2)
+        state = randomized_state(rng, cfg, seq)
+        local = sv.make_local(seq, cfg.t0)
+        value = elbo(state, seq, local)
+        assert value == pytest.approx(sv.elbo_value(state, local), rel=1e-12)
+
 
 class TestGlobalUpdates:
     def test_zero_step_keeps_state(self):
