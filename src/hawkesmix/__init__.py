@@ -7,6 +7,13 @@ metrics, and LOBSTER order-flow ingestion. The ``hawkesmix`` CLI drives
 config-based experiments over all of it.
 """
 
+import os
+
+# One BLAS thread per process unless the environment already sets one: the
+# CLI runs its tasks in parallel worker processes, and OpenBLAS's default of
+# a thread per core oversubscribes the cores. Set before NumPy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .events import EventSequence, load_events, save_events
 from .kernels import BetaMixture, ExcitationModel, beta_cdf, beta_pdf, beta_log_pdf
 from .params import HawkesParams, Hyperparams, load_params, save_params

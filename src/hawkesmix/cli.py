@@ -9,14 +9,18 @@ statuses, and wall time. Exit status is 0 only if every task succeeded.
 
 Config sections (``mcmc``, ``svi``, ``ingest``) take the fields of the
 matching config dataclass, whose defaults apply to absent keys; an unknown
-key fails the task. Each fit records its resolved config in ``run.json``,
-from which ``evaluate`` takes the engine, variant and kernel support.
+key fails the task, and an unknown top-level or ``scenario`` key fails the
+command. Each fit records its resolved config in ``run.json``, from which
+``evaluate`` takes the engine, variant and kernel support. A command that
+fails before its tasks run still writes a manifest, with the traceback as
+its one failed entry.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -90,6 +94,12 @@ def _write_manifest(out_dir: Path, command: str, config: dict, tasks: list[dict]
     return ok
 
 
+def _check_keys(section: dict, allowed: set[str], what: str) -> None:
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise ValueError(f"{what} does not take key(s) {', '.join(unknown)}")
+
+
 def _config(cls, section: dict, **fixed):
     """A ``cls`` config from a JSON section plus the values the command fixes.
 
@@ -98,9 +108,7 @@ def _config(cls, section: dict, **fixed):
     A key that is not a field, or that the command fixes, is a ValueError.
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(k for k in section if k not in fields or k in fixed)
-    if unknown:
-        raise ValueError(f"{cls.__name__} does not take key(s) {', '.join(unknown)}")
+    _check_keys(section, set(fields) - set(fixed), cls.__name__)
     kw = dict(section, **fixed)
     for name, value in kw.items():
         kind = type(fields[name].default)
@@ -158,6 +166,7 @@ def _simulate_one(kind: str, eps_true: float, T: float, seed: int, out_dir: str)
 
 def cmd_simulate(config: dict, out_dir: Path, seed: int, threads: int) -> list[dict]:
     sc = config["scenario"]
+    _check_keys(sc, {"kind", "eps_grid", "T"}, "scenario")
     kind = sc.get("kind", "beta")
     eps_grid = sc.get("eps_grid", [0.0, 0.2, 0.5, 0.8, 1.0])
     replications = int(config.get("replications", 1))
@@ -362,10 +371,33 @@ def cmd_ingest(config: dict, out_dir: Path, seed: int, threads: int) -> list[dic
 # entry point
 # ---------------------------------------------------------------------------
 
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "fit-mcmc": functools.partial(cmd_fit, engine="mcmc"),
+    "fit-svi": functools.partial(cmd_fit, engine="svi"),
+    "evaluate": cmd_evaluate,
+    "ingest": cmd_ingest,
+}
+# the top-level keys each command takes besides seed and output_dir;
+# evaluate ignores engine, variant, t0 and mcmc, which the fits now record
+_KEYS = {
+    "simulate": {"scenario", "replications"},
+    "fit-mcmc": {"data", "restarts", "mcmc"},
+    "fit-svi": {"data", "restarts", "svi"},
+    "evaluate": {"corpus", "fits", "grid_points", "level", "eval_draws", "engine", "variant", "t0", "mcmc"},
+    "ingest": {"ingest"},
+}
+
+
+def _command_tasks(command: str, config: dict, out_dir: Path, seed: int, threads: int) -> list[dict]:
+    _check_keys(config, _KEYS[command] | {"seed", "output_dir"}, f"{command} config")
+    return COMMANDS[command](config, out_dir, seed, threads)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="hawkesmix",
                                      description="config-driven experiment runner")
-    parser.add_argument("command", choices=["simulate", "fit-mcmc", "fit-svi", "evaluate", "ingest"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config (or a previous manifest)")
     parser.add_argument("--output", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
@@ -382,16 +414,9 @@ def main(argv: list[str] | None = None) -> int:
     config["seed"] = seed
 
     t_start = time.time()
-    if args.command == "simulate":
-        tasks = cmd_simulate(config, out_dir, seed, threads)
-    elif args.command == "fit-mcmc":
-        tasks = cmd_fit(config, out_dir, seed, threads, "mcmc")
-    elif args.command == "fit-svi":
-        tasks = cmd_fit(config, out_dir, seed, threads, "svi")
-    elif args.command == "evaluate":
-        tasks = cmd_evaluate(config, out_dir, seed, threads)
-    else:
-        tasks = cmd_ingest(config, out_dir, seed, threads)
+    # a failure while the command sets up its tasks is recorded as one failed task
+    entry, tasks = _run_task(args.command, _command_tasks, args.command, config, out_dir, seed, threads)
+    tasks = [entry] if tasks is None else tasks
     ok = _write_manifest(out_dir, args.command, config, tasks, t_start)
     for t in tasks:
         status = t["status"]

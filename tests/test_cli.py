@@ -274,3 +274,62 @@ class TestIngestCommand:
         [task] = json.loads((out / "manifest.json").read_text())["tasks"]
         assert task["status"] == "failed" and "min_volum" in task["error"]
         assert not (out / "events.csv").exists()
+
+
+class TestCommandSetup:
+    def test_setup_failure_writes_manifest(self, tmp_path):
+        """An ingest config without its "ingest" section fails before any
+        task runs: exit 1, and the manifest holds the traceback."""
+        cfg = _write_config(tmp_path / "ingest.json", {"messages": "x.csv"})
+        out = tmp_path / "ingested"
+        assert main(["ingest", "--config", cfg, "--output", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["ok"] is False
+        [task] = manifest["tasks"]
+        assert task["status"] == "failed"
+        assert "Traceback (most recent call last):" in task["error"] and "messages" in task["error"]
+
+    def test_restarts_below_one_writes_manifest(self, sim_corpus, tmp_path):
+        cfg = _write_config(tmp_path / "fit.json", {"data": str(sim_corpus), "restarts": 0})
+        out = tmp_path / "fits"
+        assert main(["fit-mcmc", "--config", cfg, "--output", str(out), "--threads", "1"]) == 1
+        [task] = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert task["status"] == "failed" and "restarts must be at least 1" in task["error"]
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"scenario": {"kind": "beta", "eps_grid": [0.5], "T": 50.0}, "replication": 3}, "replication"),
+        ({"scenario": {"kind": "beta", "eps-grid": [0.5], "T": 50.0}}, "eps-grid"),
+    ])
+    def test_unknown_key_fails_simulate(self, tmp_path, doc, key):
+        cfg = _write_config(tmp_path / "sim.json", doc)
+        out = tmp_path / "corpus"
+        assert main(["simulate", "--config", cfg, "--output", str(out), "--threads", "1"]) == 1
+        [task] = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert "ValueError" in task["error"] and key in task["error"]
+        assert not list(out.glob("eps*"))
+
+    def test_unknown_key_fails_evaluate(self, tmp_path):
+        cfg = _write_config(tmp_path / "eval.json", {"corpus": "c", "fits": "f", "grid_point": 64})
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", cfg, "--output", str(out), "--threads", "1"]) == 1
+        [task] = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert "grid_point" in task["error"]
+
+
+class TestBlasThreads:
+    SCRIPT = ("import os, hawkesmix.cli as cli; "
+              "tasks = [(n, os.getenv, ('OPENBLAS_NUM_THREADS',)) for n in ('a', 'b')]; "
+              "print(*[value for _, value in cli._run_tasks(tasks, threads=2)])")
+
+    @pytest.mark.parametrize("setting,expected", [(None, "1 1"), ("3", "3 3")])
+    def test_pool_workers_run_one_blas_thread_by_default(self, setting, expected):
+        import subprocess
+        import sys
+
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.split() == expected.split()
