@@ -26,6 +26,7 @@ import os
 import sys
 import time
 import traceback
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -33,13 +34,13 @@ import numpy as np
 
 from . import __version__
 from .events import load_events, save_events
+from .files import write_json, write_table
 from .likelihood import save_branching
 from .lobster import IngestConfig, build_event_sequence, parse_messages, read_orderbook_quotes
 from .mcmc import McmcConfig, run_chain, save_samples
 from .metrics import (
     CurveSamples,
     GridSpec,
-    append_metric_rows,
     coverage_acr,
     curve_samples_from_draws,
     evaluate_truth,
@@ -49,7 +50,7 @@ from .metrics import (
     save_spectral_histogram,
     spectral_histogram,
 )
-from .params import Hyperparams, load_params, save_params
+from .params import Hyperparams, params_from_dict, save_params
 from .simulate import (
     SimScenario,
     benchmark_beta_params,
@@ -65,25 +66,18 @@ def _task_seed(base_seed: int, *key: int) -> int:
 
 
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = json.loads(Path(path).read_text())
     # a manifest embeds the config it ran with
     if "config" in doc and "command" in doc:
         return doc["config"]
     return doc
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _write_manifest(out_dir: Path, command: str, config: dict, tasks: list[dict],
                     t_start: float) -> bool:
     ok = all(t["status"] == "ok" for t in tasks)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "manifest.json", {
+    write_json(out_dir / "manifest.json", {
         "command": command,
         "config": config,
         "version": __version__,
@@ -100,20 +94,43 @@ def _check_keys(section: dict, allowed: set[str], what: str) -> None:
         raise ValueError(f"{what} does not take key(s) {', '.join(unknown)}")
 
 
+def _checked(key: str, value, kind: type, nullable: bool = False):
+    """``value`` as a ``kind``, or a ValueError naming ``key``: an int takes
+    an integral number, a float any number (a bool is neither), any other
+    kind a value of that type, and None passes where ``nullable``."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if (value is None and nullable
+            or kind is int and number and (isinstance(value, int) or value.is_integer())
+            or kind is float and number
+            or kind not in (int, float) and isinstance(value, kind)):
+        return value if value is None else kind(value)
+    raise ValueError(f"{key} must be {'null or ' if nullable else ''}{kind.__name__}, not {value!r}")
+
+
+def _setting(section: dict, key: str, default):
+    """``section[key]``, checked against the type of ``default``, or ``default``.
+
+    The value used is written back, so the manifest records it.
+    """
+    section[key] = _checked(key, section.get(key, default), type(default))
+    return section[key]
+
+
 def _config(cls, section: dict, **fixed):
     """A ``cls`` config from a JSON section plus the values the command fixes.
 
-    Absent keys take the dataclass defaults, and values are cast to the type
-    of their default; a ``hyper`` sub-section becomes :class:`Hyperparams`.
-    A key that is not a field, or that the command fixes, is a ValueError.
+    Absent keys take the dataclass defaults; a value is used only if it has
+    its field's type (see :func:`_checked`), and a ``hyper`` sub-section
+    becomes :class:`Hyperparams`. A key that is not a field, or that the
+    command fixes, is a ValueError.
     """
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    _check_keys(section, set(fields) - set(fixed), cls.__name__)
+    hints = typing.get_type_hints(cls)
+    _check_keys(section, set(hints) - set(fixed), cls.__name__)
     kw = dict(section, **fixed)
     for name, value in kw.items():
-        kind = type(fields[name].default)
-        if kind in (int, float, bool, str):
-            kw[name] = kind(value)
+        kind, *rest = typing.get_args(hints[name]) or (hints[name],)
+        if kind in (bool, int, float, str):
+            kw[name] = _checked(name, value, kind, nullable=type(None) in rest)
     if "hyper" in kw:
         kw["hyper"] = _config(Hyperparams, kw["hyper"])
     return cls(**kw)
@@ -159,18 +176,16 @@ def _simulate_one(kind: str, eps_true: float, T: float, seed: int, out_dir: str)
     if kind == "beta":
         save_params(params, out / "truth.json")
     else:
-        with open(out / "truth.json", "w") as fh:
-            json.dump({"kind": "exponential", "eps": eps_true}, fh)
-            fh.write("\n")
+        write_json(out / "truth.json", {"kind": "exponential", "eps": eps_true})
 
 
 def cmd_simulate(config: dict, out_dir: Path, seed: int, threads: int) -> list[dict]:
     sc = config["scenario"]
     _check_keys(sc, {"kind", "eps_grid", "T"}, "scenario")
-    kind = sc.get("kind", "beta")
-    eps_grid = sc.get("eps_grid", [0.0, 0.2, 0.5, 0.8, 1.0])
-    replications = int(config.get("replications", 1))
-    T = float(sc.get("T", 3000.0))
+    kind = _setting(sc, "kind", "beta")
+    eps_grid = _setting(sc, "eps_grid", [0.0, 0.2, 0.5, 0.8, 1.0])
+    T = _setting(sc, "T", 3000.0)
+    replications = _setting(config, "replications", 1)
     tasks = []
     for ei, eps in enumerate(eps_grid):
         for rep in range(replications):
@@ -203,7 +218,7 @@ def _fit_one(engine: str, events_csv: str, section: dict, seed: int, out_dir: st
         save_trace(trace, out / "elbo_trace.csv")
         score = float(trace[-1, 1])
         run = {"seed": seed, "final_elbo": score}
-    _write_json(out / "run.json", dict(run, wall_time_s=time.time() - t0, config=dataclasses.asdict(cfg)))
+    write_json(out / "run.json", dict(run, wall_time_s=time.time() - t0, config=dataclasses.asdict(cfg)))
     return score
 
 
@@ -222,10 +237,10 @@ def _dataset_paths(data: Path) -> list[tuple[str, Path]]:
 
 
 def cmd_fit(config: dict, out_dir: Path, seed: int, threads: int, engine: str) -> list[dict]:
-    restarts = int(config.get("restarts", 1))
+    restarts = _setting(config, "restarts", 1)
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    section = config.get(engine, {})
+    section = _setting(config, engine, {})
     datasets = _dataset_paths(Path(config["data"]))
     tasks = [(f"fit {label} restart={r}", _fit_one,
               (engine, str(events_csv), section, _task_seed(seed, 1, di, r), str(out_dir / label / f"restart{r}")))
@@ -239,7 +254,7 @@ def cmd_fit(config: dict, out_dir: Path, seed: int, threads: int, engine: str) -
         scores = {r: score for r, (entry, score) in enumerate(runs) if entry["status"] == "ok"}
         if scores:
             best = max(scores, key=lambda r: (scores[r], -r))
-            _write_json(out_dir / label / "selected.json", {
+            write_json(out_dir / label / "selected.json", {
                 "selected_restart": best, "engine": engine,
                 "scores": {str(r): s for r, s in scores.items()}})
     return [entry for entry, _ in results]
@@ -250,13 +265,10 @@ def cmd_fit(config: dict, out_dir: Path, seed: int, threads: int, engine: str) -
 # ---------------------------------------------------------------------------
 
 def _truth_evaluator(truth_path: Path):
-    with open(truth_path) as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and doc.get("kind") == "exponential":
-        params = benchmark_exponential_params(float(doc["eps"]))
-    else:
-        params = load_params(truth_path)
-    return params.excitation.density
+    doc = json.loads(truth_path.read_text())
+    if doc.get("kind") == "exponential":
+        return benchmark_exponential_params(float(doc["eps"])).excitation.density
+    return params_from_dict(doc).excitation.density
 
 
 def _mcmc_curves(run_dir: Path, cfg: McmcConfig, grid: GridSpec, max_draws: int) -> tuple[CurveSamples, np.ndarray]:
@@ -281,23 +293,18 @@ def _svi_curves(run_dir: Path, grid: GridSpec, n_draws: int, seed: int) -> tuple
 def cmd_evaluate(config: dict, out_dir: Path, seed: int, threads: int) -> list[dict]:
     corpus = Path(config["corpus"])
     fits = Path(config["fits"])
-    grid_points = int(config.get("grid_points", 512))
-    level = float(config.get("level", 0.95))
-    n_draws = int(config.get("eval_draws", 500))
+    grid_points = _setting(config, "grid_points", 512)
+    level = _setting(config, "level", 0.95)
+    n_draws = _setting(config, "eval_draws", 500)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_csv = out_dir / "metrics.csv"
-    if metrics_csv.exists():
-        metrics_csv.unlink()
 
     def evaluate(index: int, label: str, truth_json: Path):
         """Metrics of the dataset's selected fit, on that fit's kernel support."""
         parts = label.replace("\\", "/").split("/")
         eps_true = parts[0].removeprefix("eps") if parts[0].startswith("eps") else ""
-        with open(fits / label / "selected.json") as fh:
-            selected = json.load(fh)
+        selected = json.loads((fits / label / "selected.json").read_text())
         run_dir = fits / label / f"restart{selected['selected_restart']}"
-        with open(run_dir / "run.json") as fh:
-            fit_config = json.load(fh)["config"]
+        fit_config = json.loads((run_dir / "run.json").read_text())["config"]
         engine, variant = selected["engine"], fit_config["variant"]
         grid = GridSpec(grid_points, float(fit_config["t0"]))
         if engine == "mcmc":
@@ -310,33 +317,28 @@ def cmd_evaluate(config: dict, out_dir: Path, seed: int, threads: int) -> list[d
             "acr": coverage_acr(curves, truth, level),
             "interval_score": interval_score(curves, truth, level),
         }
-        append_metric_rows(metrics_csv, [
-            {"method": engine, "variant": variant, "eps_true": eps_true,
-             "seed": label, "metric": m, "value": v} for m, v in vals.items()])
-        return engine, variant, vals, curves, alpha_draws
+        return [(engine, variant, eps_true, label, m, v) for m, v in vals.items()], curves, alpha_draws
 
     # one task per dataset, run here in turn: only the first fit's curves are kept
     tasks: list[dict] = []
-    values: dict[tuple[str, str, str], list[float]] = {}
+    rows: list[tuple] = []
     first: tuple[CurveSamples, np.ndarray] | None = None
     for index, (label, ds) in enumerate(_dataset_paths(corpus)):
         entry, result = _run_task(f"evaluate {label}", evaluate, index, label, ds.parent / "truth.json")
         tasks.append(entry)
-        if result is None:
-            continue
-        engine, variant, vals, curves, alpha_draws = result
-        for m, v in vals.items():
-            values.setdefault((engine, variant, m), []).append(v)
-        if first is None:
-            first = curves, alpha_draws
+        if result is not None:
+            rows += result[0]
+            first = first or result[1:]
+    write_table(out_dir / "metrics.csv", ["method", "variant", "eps_true", "seed", "metric", "value"],
+                list(zip(*rows)))
     # aggregate table: mean (sd) per fit method, variant and metric; sd empty
     # for one replication
-    with open(out_dir / "summary.csv", "w") as fh:
-        fh.write("method,variant,metric,mean,sd,n\n")
-        for (engine, variant, m), vals in values.items():
-            mean = float(np.mean(vals))
-            sd = "" if len(vals) < 2 else repr(float(np.std(vals, ddof=1)))
-            fh.write(f"{engine},{variant},{m},{mean!r},{sd},{len(vals)}\n")
+    values: dict[tuple[str, str, str], list[float]] = {}
+    for engine, variant, _, _, m, v in rows:
+        values.setdefault((engine, variant, m), []).append(v)
+    summary = [(engine, variant, m, float(np.mean(v)), float(np.std(v, ddof=1)) if len(v) > 1 else "", len(v))
+               for (engine, variant, m), v in values.items()]
+    write_table(out_dir / "summary.csv", ["method", "variant", "metric", "mean", "sd", "n"], list(zip(*summary)))
     if first is not None:
         save_bands(out_dir / "bands.csv", first[0], level)
         save_spectral_histogram(out_dir / "spectral_histogram.csv", spectral_histogram(first[1]))
@@ -355,10 +357,10 @@ def _ingest_one(section: dict, out_dir: Path) -> None:
     quotes = read_orderbook_quotes(orderbook) if orderbook else None
     seq = build_event_sequence(report.messages, cfg, quotes)
     save_events(seq, out_dir / "events.csv")
-    _write_json(out_dir / "ingest_report.json", {"messages": len(report.messages),
-                                                 "malformed": report.malformed,
-                                                 "events": seq.n,
-                                                 "per_dimension": seq.counts().tolist()})
+    write_json(out_dir / "ingest_report.json", {"messages": len(report.messages),
+                                                "malformed": report.malformed,
+                                                "events": seq.n,
+                                                "per_dimension": seq.counts().tolist()})
 
 
 def cmd_ingest(config: dict, out_dir: Path, seed: int, threads: int) -> list[dict]:
@@ -389,7 +391,8 @@ _KEYS = {
 }
 
 
-def _command_tasks(command: str, config: dict, out_dir: Path, seed: int, threads: int) -> list[dict]:
+def _command_tasks(command: str, config: dict, out_dir: Path, threads: int) -> list[dict]:
+    seed = _setting(config, "seed", 0)
     _check_keys(config, _KEYS[command] | {"seed", "output_dir"}, f"{command} config")
     return COMMANDS[command](config, out_dir, seed, threads)
 
@@ -405,17 +408,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes (default: available cores)")
     args = parser.parse_args(argv)
 
-    config = _load_config(args.config)
+    config = dict(_load_config(args.config))
     out_dir = Path(args.output or config.get("output_dir", "out"))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    config = dict(config)
     config["output_dir"] = str(out_dir)
-    config["seed"] = seed
+    if args.seed is not None:
+        config["seed"] = args.seed
 
     t_start = time.time()
     # a failure while the command sets up its tasks is recorded as one failed task
-    entry, tasks = _run_task(args.command, _command_tasks, args.command, config, out_dir, seed, threads)
+    entry, tasks = _run_task(args.command, _command_tasks, args.command, config, out_dir, threads)
     tasks = [entry] if tasks is None else tasks
     ok = _write_manifest(out_dir, args.command, config, tasks, t_start)
     for t in tasks:

@@ -1,13 +1,14 @@
-"""Event-sequence container and its CSV/JSON serialization."""
+"""Event-sequence container and its event table."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .files import read_table, write_json, write_table
 
 
 @dataclass(frozen=True)
@@ -68,44 +69,22 @@ class EventSequence:
         return EventSequence(self.times[lo:hi].copy(), self.dims[lo:hi].copy(), self.T, self.K)
 
 
-def _meta_path(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".json")
-
-
 def save_events(seq: EventSequence, csv_path: str | Path, meta_path: str | Path | None = None) -> None:
-    """Write a sequence as a ``t,d`` CSV plus a ``{T, K}`` JSON sidecar.
+    """Write a sequence as a ``t,d`` table plus a ``{T, K}`` JSON sidecar.
 
-    Times are written with shortest round-trip float formatting and dimension
-    codes as 1-based integers.
+    Dimension codes are written 1-based.
     """
-    csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path is not None else _meta_path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "d"])
-        for t, d in zip(seq.times, seq.dims):
-            writer.writerow([repr(float(t)), int(d) + 1])
-    with open(meta_path, "w") as fh:
-        json.dump({"T": seq.T, "K": seq.K}, fh)
-        fh.write("\n")
+    write_table(csv_path, ["t", "d"], [seq.times, seq.dims + 1])
+    write_json(meta_path or Path(csv_path).with_suffix(".json"), {"T": seq.T, "K": seq.K})
 
 
 def load_events(csv_path: str | Path, meta_path: str | Path | None = None) -> EventSequence:
     """Read a sequence written by :func:`save_events`."""
-    csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path is not None else _meta_path(csv_path)
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    times: list[float] = []
-    dims: list[int] = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and [c.strip() for c in header[:2]] != ["t", "d"]:
-            raise ValueError(f"unexpected event CSV header: {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            dims.append(int(row[1]) - 1)
-    return EventSequence(np.asarray(times), np.asarray(dims, dtype=np.int64), meta["T"], meta["K"])
+    header, table = read_table(csv_path)
+    if [c.strip() for c in header[:2]] != ["t", "d"]:
+        raise ValueError(f"unexpected event CSV header: {header!r}")
+    dims = table[:, 1].astype(np.int64)
+    if np.any(dims != table[:, 1]):
+        raise ValueError("dimension codes must be integers")
+    meta = json.loads(Path(meta_path or Path(csv_path).with_suffix(".json")).read_text())
+    return EventSequence(table[:, 0], dims - 1, meta["T"], meta["K"])

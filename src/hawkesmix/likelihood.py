@@ -16,13 +16,13 @@ Conventions fixed across the package:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .events import EventSequence
+from .files import read_table, write_table
 from .kernels import ExcitationModel, beta_log_coefs, beta_log_pdf, design_density
 from .params import HawkesParams
 from .pairs import PairData, build_pairs
@@ -294,24 +294,13 @@ def augmented_log_likelihood(params: HawkesParams, seq: EventSequence, latent: L
 
 def save_branching(latent: LatentState, path: str | Path) -> None:
     """Write ``child_index,parent_index`` rows (1-based; 0 = immigrant)."""
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["child_index", "parent_index"])
-        for j, p in enumerate(latent.parent):
-            writer.writerow([j + 1, int(p) + 1])
+    write_table(path, ["child_index", "parent_index"], [np.arange(1, latent.parent.size + 1), latent.parent + 1])
 
 
 def load_branching(path: str | Path, n: int | None = None) -> np.ndarray:
     """Read parent indices written by :func:`save_branching` (0-based, -1 imm)."""
-    parents: dict[int, int] = {}
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if row:
-                parents[int(row[0]) - 1] = int(row[1]) - 1
-    size = n if n is not None else (max(parents) + 1 if parents else 0)
-    out = np.full(size, -1, dtype=np.int64)
-    for j, p in parents.items():
-        out[j] = p
+    _, table = read_table(path)
+    child, parent = table.T.astype(np.int64) - 1
+    out = np.full(n if n is not None else child.max(initial=-1) + 1, -1, dtype=np.int64)
+    out[child] = parent
     return out

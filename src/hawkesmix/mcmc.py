@@ -15,7 +15,6 @@ Model variants: ``RANDOM`` learns the blend weight, ``IDIO`` pins it to 0
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +22,7 @@ import numpy as np
 from scipy import special
 
 from .events import EventSequence
+from .files import read_table, write_table
 from .kernels import ExcitationModel, beta_log_coefs, cell_log_scores, lag_design
 from .likelihood import LatentState, compensator_terms, log_likelihood, mixture_pair_density
 from .params import HawkesParams, Hyperparams
@@ -465,38 +465,23 @@ def _draw_shapes(K: int, h0: int, h: int) -> dict[str, tuple[int, ...]]:
             "pkl": (K, K, h), "akl": (K, K, h), "bkl": (K, K, h)}
 
 
-def _sample_columns(K: int, h0: int, h: int) -> list[str]:
-    cols = ["loglik"]
-    cols += [f"mu.{k + 1}" for k in range(K)]
-    cols += [f"alpha.{p + 1}.{c + 1}" for p in range(K) for c in range(K)]
-    cols.append("eps")
-    for name in ("p0", "a0", "b0"):
-        cols += [f"{name}.{i + 1}" for i in range(h0)]
-    for name in ("p", "a", "b"):
-        cols += [f"{name}.{p + 1}.{c + 1}.{i + 1}" for p in range(K) for c in range(K) for i in range(h)]
-    return cols
-
-
 def save_samples(samples: PosteriorSamples, csv_path: str | Path) -> None:
-    """One row per retained draw with flattened parameter names."""
+    """One row per retained draw; one column per array entry, named by the
+    array (``kl`` dropped) and its 1-based index, as in ``alpha.1.2``."""
     K, h0, h = samples.mu.shape[1], samples.p0.shape[1], samples.pkl.shape[3]
-    mat = np.column_stack([getattr(samples, name).reshape(samples.n_draws, -1)
-                           for name in _draw_shapes(K, h0, h)])
-    with open(Path(csv_path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_sample_columns(K, h0, h))
-        for row in mat:
-            writer.writerow([repr(float(v)) for v in row])
+    shapes = _draw_shapes(K, h0, h)
+    header = [".".join([name.removesuffix("kl"), *(str(i + 1) for i in ix)])
+              for name, shape in shapes.items() for ix in np.ndindex(*shape)]
+    mat = np.column_stack([getattr(samples, name).reshape(samples.n_draws, -1) for name in shapes])
+    write_table(csv_path, header, mat.T)
 
 
 def load_samples(csv_path: str | Path, config: McmcConfig, K: int | None = None) -> PosteriorSamples:
-    with open(Path(csv_path), newline="") as fh:
-        names = next(csv.reader(fh))
-        mat = np.loadtxt(fh, delimiter=",", ndmin=2)
+    names, mat = read_table(csv_path)
     if K is None:
-        K = sum(1 for n in names if n.startswith("mu."))
-    h0 = sum(1 for n in names if n.startswith("p0."))
-    h = sum(1 for n in names if n.startswith("p.") and n.count(".") == 3) // (K * K)
+        K = sum(n.startswith("mu.") for n in names)
+    h0 = sum(n.startswith("p0.") for n in names)
+    h = sum(n.startswith("p.") for n in names) // (K * K)
     shapes = _draw_shapes(K, h0, h)
     cols = np.split(mat, np.cumsum([int(np.prod(shape)) for shape in shapes.values()])[:-1], axis=1)
     return PosteriorSamples(config=config, accept_rates={}, **{

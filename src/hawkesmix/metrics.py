@@ -9,13 +9,13 @@ cell.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from .files import write_table
 from .kernels import beta_log_coefs, lag_design
 from .likelihood import spectral_radius
 
@@ -160,43 +160,21 @@ def spectral_histogram(alpha_draws: np.ndarray, bins: int = 50) -> dict[str, np.
 
 
 # ---------------------------------------------------------------------------
-# CSV emitters
+# Tables
 # ---------------------------------------------------------------------------
-
-def append_metric_rows(path: str | Path, rows: list[dict]) -> None:
-    """Append ``method,variant,eps_true,seed,metric,value`` rows."""
-    path = Path(path)
-    new = not path.exists()
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if new:
-            writer.writerow(["method", "variant", "eps_true", "seed", "metric", "value"])
-        for r in rows:
-            writer.writerow([r["method"], r["variant"], r["eps_true"], r["seed"],
-                             r["metric"], repr(float(r["value"]))])
-
 
 def save_bands(path: str | Path, samples: CurveSamples, level: float = 0.95) -> None:
     """Band table: one row per (parent, child, grid point)."""
     bands = excitation_bands(samples, level)
-    x = samples.grid.points
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parent", "child", "t", "mean", "lower", "upper"])
-        for i in range(samples.K):
-            for j in range(samples.K):
-                for g, t in enumerate(x):
-                    writer.writerow([i + 1, j + 1, repr(float(t)),
-                                     repr(float(bands["mean"][i, j, g])),
-                                     repr(float(bands["lower"][i, j, g])),
-                                     repr(float(bands["upper"][i, j, g]))])
+    parent, child, g = np.indices(bands["mean"].shape).reshape(3, -1)
+    write_table(path, ["parent", "child", "t", "mean", "lower", "upper"],
+                [parent + 1, child + 1, samples.grid.points[g],
+                 bands["mean"].ravel(), bands["lower"].ravel(), bands["upper"].ravel()])
 
 
 def save_spectral_histogram(path: str | Path, hist: dict) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        edges, counts = hist["edges"], hist["counts"]
-        for i, c in enumerate(counts):
-            writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
-        writer.writerow(["stationary_fraction", repr(float(hist["stationary_fraction"])), ""])
+    """One row per bin, then a ``stationary_fraction`` row."""
+    edges = hist["edges"].tolist()
+    write_table(path, ["bin_left", "bin_right", "count"],
+                [edges[:-1] + ["stationary_fraction"], edges[1:] + [hist["stationary_fraction"]],
+                 hist["counts"].tolist() + [""]])

@@ -9,6 +9,7 @@ from typing import Any
 
 import numpy as np
 
+from .files import write_json
 from .kernels import BetaMixture, ExcitationModel
 
 
@@ -114,11 +115,8 @@ def params_from_dict(d: dict) -> HawkesParams:
 
 def save_params(params: HawkesParams, path: str | Path) -> None:
     """Write parameters as JSON (alpha rows are parent dimensions)."""
-    with open(Path(path), "w") as fh:
-        json.dump(params_to_dict(params), fh, indent=2)
-        fh.write("\n")
+    write_json(path, params_to_dict(params))
 
 
 def load_params(path: str | Path) -> HawkesParams:
-    with open(Path(path)) as fh:
-        return params_from_dict(json.load(fh))
+    return params_from_dict(json.loads(Path(path).read_text()))

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy import special
 
 from .events import EventSequence
+from .files import write_json, write_table
 from .kernels import cell_log_scores
 from .params import Hyperparams
 from .pairs import PairData, build_pairs, parent_softmax
@@ -167,7 +168,6 @@ class VariationalState:
     h: int
     t0: float
     variant: str
-    hyper: Hyperparams
     T: float
     n_parent: np.ndarray
     eta_mu: np.ndarray
@@ -179,6 +179,7 @@ class VariationalState:
     eta_akl: np.ndarray
     eta_bkl: np.ndarray
     eta_eps: np.ndarray | None
+    hyper: Hyperparams
 
     # -- expectations ------------------------------------------------------
 
@@ -590,47 +591,15 @@ def sample_from_variational(state: VariationalState, n_draws: int,
 # ---------------------------------------------------------------------------
 
 def save_state(state: VariationalState, path: str | Path) -> None:
-    doc = {
-        "K": state.K, "h0": state.h0, "h": state.h, "t0": state.t0,
-        "variant": state.variant, "T": state.T,
-        "n_parent": state.n_parent.tolist(),
-        "eta_mu": state.eta_mu.tolist(),
-        "eta_alpha": state.eta_alpha.tolist(),
-        "eta_p0": state.eta_p0.tolist(),
-        "eta_a0": state.eta_a0.tolist(),
-        "eta_b0": state.eta_b0.tolist(),
-        "eta_pkl": state.eta_pkl.tolist(),
-        "eta_akl": state.eta_akl.tolist(),
-        "eta_bkl": state.eta_bkl.tolist(),
-        "eta_eps": None if state.eta_eps is None else state.eta_eps.tolist(),
-        "hyper": vars(state.hyper),
-    }
-    with open(Path(path), "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    """Every field under its own name: arrays as nested lists, ``hyper`` as a dict."""
+    write_json(path, {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(state).items()})
 
 
 def load_state(path: str | Path) -> VariationalState:
-    with open(Path(path)) as fh:
-        doc = json.load(fh)
-    return VariationalState(
-        K=doc["K"], h0=doc["h0"], h=doc["h"], t0=doc["t0"], variant=doc["variant"],
-        hyper=Hyperparams(**doc["hyper"]), T=doc["T"],
-        n_parent=np.asarray(doc["n_parent"]),
-        eta_mu=np.asarray(doc["eta_mu"]),
-        eta_alpha=np.asarray(doc["eta_alpha"]),
-        eta_p0=np.asarray(doc["eta_p0"]),
-        eta_a0=np.asarray(doc["eta_a0"]),
-        eta_b0=np.asarray(doc["eta_b0"]),
-        eta_pkl=np.asarray(doc["eta_pkl"]),
-        eta_akl=np.asarray(doc["eta_akl"]),
-        eta_bkl=np.asarray(doc["eta_bkl"]),
-        eta_eps=None if doc["eta_eps"] is None else np.asarray(doc["eta_eps"]),
-    )
+    doc = json.loads(Path(path).read_text())
+    doc["hyper"] = Hyperparams(**doc["hyper"])
+    return VariationalState(**{k: np.asarray(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 def save_trace(trace: np.ndarray, path: str | Path) -> None:
-    with open(Path(path), "w") as fh:
-        fh.write("iter,elbo\n")
-        for it, val in trace:
-            fh.write(f"{int(it)},{repr(float(val))}\n")
+    write_table(path, ["iter", "elbo"], [trace[:, 0].astype(np.int64), trace[:, 1]])

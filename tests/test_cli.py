@@ -333,3 +333,90 @@ class TestBlasThreads:
         out = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         assert out.stdout.split() == expected.split()
+
+
+class TestConfigValues:
+    """A config value is used only when its type is the field's: no cast may change it."""
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("fit-mcmc", "mcmc", "adapt_mh", "false"),
+        ("fit-mcmc", "mcmc", "iterations", 2.9),
+        ("fit-mcmc", "mcmc", "h0", True),
+        ("fit-svi", "svi", "kappa", "0.5"),
+        ("fit-svi", "svi", "elbo_every", 2.5),
+    ])
+    def test_bad_section_value_fails_every_fit(self, sim_corpus, tmp_path, command, section, key, value):
+        fits = tmp_path / "fits"
+        fit_cfg = _write_config(tmp_path / "fit.json", {
+            "data": str(sim_corpus), section: {"iterations": 20, "h0": 2, "h": 2, key: value}, "seed": 2,
+        })
+        assert main([command, "--config", fit_cfg, "--output", str(fits), "--threads", "1"]) == 1
+        tasks = json.loads((fits / "manifest.json").read_text())["tasks"]
+        assert len(tasks) == 4
+        for t in tasks:
+            assert t["status"] == "failed"
+            assert "ValueError" in t["error"] and key in t["error"]
+
+    def test_include_hidden_string_fails_ingest(self, tmp_path):
+        cfg = _write_config(tmp_path / "ingest.json", {
+            "ingest": {"messages": str(DATA / "lobster_messages_50.csv"), "include_hidden": "false"},
+        })
+        out = tmp_path / "ingested"
+        assert main(["ingest", "--config", cfg, "--output", str(out)]) == 1
+        [task] = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert "ValueError" in task["error"] and "include_hidden" in task["error"]
+        assert not (out / "events.csv").exists()
+
+    @pytest.mark.parametrize("command,doc,key", [
+        ("simulate", {"scenario": {"T": "50"}}, "T"),
+        ("simulate", {"scenario": {"T": 50.0}, "replications": 1.5}, "replications"),
+        ("simulate", {"scenario": {"T": 50.0}, "seed": 2.9}, "seed"),
+        ("fit-mcmc", {"data": "d", "restarts": 1.5}, "restarts"),
+        ("fit-svi", {"data": "d", "restarts": True}, "restarts"),
+        ("evaluate", {"corpus": "c", "fits": "f", "grid_points": 64.5}, "grid_points"),
+        ("evaluate", {"corpus": "c", "fits": "f", "level": "0.9"}, "level"),
+        ("evaluate", {"corpus": "c", "fits": "f", "eval_draws": True}, "eval_draws"),
+    ])
+    def test_bad_top_level_value_fails_command(self, tmp_path, command, doc, key):
+        cfg = _write_config(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output", str(out), "--threads", "1"]) == 1
+        [task] = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert "ValueError" in task["error"] and key in task["error"]
+
+    def test_accepted_values_keep_their_meaning(self):
+        from hawkesmix.cli import _config
+        from hawkesmix.lobster import IngestConfig
+        from hawkesmix.mcmc import McmcConfig
+
+        cfg = _config(McmcConfig, {"iterations": 20.0, "burn_in": None, "mh_step": 1, "adapt_mh": False,
+                                   "hyper": {"e": 2}})
+        assert type(cfg.iterations) is int and cfg.iterations == 20 and cfg.burn_in == 10
+        assert type(cfg.mh_step) is float and cfg.mh_step == 1.0
+        assert cfg.adapt_mh is False and type(cfg.hyper.e) is float
+        assert _config(McmcConfig, {"iterations": 20, "burn_in": 4}).burn_in == 4
+        assert _config(IngestConfig, {"include_hidden": False}).include_hidden is False
+
+
+class TestResolvedManifest:
+    def test_simulate_manifest_records_defaults_and_reruns(self, tmp_path):
+        cfg = _write_config(tmp_path / "sim.json", {"scenario": {}})
+        out = tmp_path / "corpus"
+        assert main(["simulate", "--config", cfg, "--output", str(out), "--threads", "1"]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["scenario"] == {"kind": "beta", "eps_grid": [0.0, 0.2, 0.5, 0.8, 1.0], "T": 3000.0}
+        assert config["replications"] == 1 and config["seed"] == 0
+        out2 = tmp_path / "corpus2"
+        assert main(["simulate", "--config", str(out / "manifest.json"), "--output", str(out2),
+                     "--threads", "1"]) == 0
+        written = sorted(out.glob("eps*/rep*/events.csv"))
+        assert len(written) == 5
+        for a in written:
+            assert a.read_bytes() == (out2 / a.relative_to(out)).read_bytes()
+
+    def test_evaluate_manifest_records_defaults(self, tmp_path):
+        cfg = _write_config(tmp_path / "eval.json", {"corpus": "c", "fits": "f"})
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", cfg, "--output", str(out), "--threads", "1"]) == 1
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["grid_points"], config["level"], config["eval_draws"]) == (512, 0.95, 500)

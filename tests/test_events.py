@@ -1,5 +1,13 @@
+import csv
+import io
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkesmix import EventSequence, load_events, save_events
 
@@ -71,3 +79,59 @@ def test_csv_uses_one_based_dimensions(tmp_path):
     assert lines[0] == "t,d"
     assert lines[1] == "1.25,1"
     assert (tmp_path / "events.json").exists()
+
+
+@pytest.mark.parametrize("times,dims", [([], []), ([0.25], [1])])
+def test_short_sequences_roundtrip_without_warning(tmp_path, times, dims):
+    seq = EventSequence(np.array(times, dtype=float), np.array(dims, dtype=np.int64), T=1.0, K=2)
+    path = tmp_path / "events.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        save_events(seq, path)
+        back = load_events(path)
+    assert back.times.shape == seq.times.shape and back.dims.shape == seq.dims.shape
+    np.testing.assert_array_equal(back.times, seq.times)
+    np.testing.assert_array_equal(back.dims, seq.dims)
+    assert back.T == seq.T and back.K == seq.K
+
+
+def _reference_csv(seq: EventSequence) -> bytes:
+    """The event table as a row-by-row ``csv.writer`` with ``repr`` writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t", "d"])
+    for t, d in zip(seq.times, seq.dims):
+        writer.writerow([repr(float(t)), int(d) + 1])
+    return buf.getvalue().encode()
+
+
+@st.composite
+def increasing_times(draw):
+    """Strictly increasing float64 times: 1-ulp gaps, subnormals, times near 1e9."""
+    t = draw(st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e9]),
+                       st.floats(0.0, 1e-300), st.floats(0.0, 1e9), st.floats(1e9 - 1.0, 1e9)))
+    times = [t]
+    for step in draw(st.lists(st.one_of(st.integers(1, 3), st.floats(1e-320, 1e3)), max_size=30)):
+        if isinstance(step, int):
+            for _ in range(step):
+                t = float(np.nextafter(t, np.inf))
+        else:
+            t = max(t + step, float(np.nextafter(t, np.inf)))
+        times.append(t)
+    return np.array(times)
+
+
+@settings(max_examples=60, deadline=None)
+@given(times=increasing_times(), data=st.data())
+def test_times_roundtrip_bitwise(times, data):
+    dims = np.array(data.draw(st.lists(st.integers(0, 2), min_size=times.size, max_size=times.size)),
+                    dtype=np.int64)
+    seq = EventSequence(times, dims, T=float(times[-1]), K=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        save_events(seq, path)
+        assert path.read_bytes() == _reference_csv(seq)
+        back = load_events(path)
+    np.testing.assert_array_equal(back.times.view(np.int64), seq.times.view(np.int64))
+    np.testing.assert_array_equal(back.dims, seq.dims)
+    assert back.T == seq.T and back.K == seq.K

@@ -431,3 +431,20 @@ class TestSamplesIO:
         np.testing.assert_array_equal(back.alpha, out.alpha)
         np.testing.assert_array_equal(back.pkl, out.pkl)
         np.testing.assert_array_equal(back.loglik, out.loglik)
+
+
+class TestSamplesFileRoundTrip:
+    @pytest.mark.parametrize("variant", ["RANDOM", "IDIO", "COMMON"])
+    def test_every_draw_array_roundtrips_bitwise(self, tmp_path, variant):
+        from conftest import random_sequence
+        from hawkesmix.mcmc import load_samples, save_samples
+
+        seq = random_sequence(np.random.default_rng(3), 40, 3, 20.0)
+        cfg = McmcConfig(iterations=6, burn_in=2, h0=2, h=3, variant=variant, seed=1)
+        out = run_chain(cfg, seq)
+        save_samples(out, tmp_path / "samples.csv")
+        back = load_samples(tmp_path / "samples.csv", cfg)
+        for name in ("loglik", "mu", "alpha", "eps", "p0", "a0", "b0", "pkl", "akl", "bkl"):
+            assert getattr(back, name).shape == getattr(out, name).shape, name
+            np.testing.assert_array_equal(getattr(back, name).view(np.int64),
+                                          getattr(out, name).view(np.int64), err_msg=name)

@@ -535,3 +535,24 @@ class TestVariationalSampling:
                                      variant="IDIO", seed=2), seq)
         out = sample_from_variational(state, 100, np.random.default_rng(0))
         assert np.all(out["eps"] == 0.0)
+
+
+class TestStateFileRoundTrip:
+    @pytest.mark.parametrize("variant", ["RANDOM", "IDIO", "COMMON"])
+    def test_every_field_roundtrips_bitwise(self, tmp_path, variant):
+        import dataclasses
+
+        from conftest import random_sequence
+
+        seq = random_sequence(np.random.default_rng(3), 40, 3, 20.0)
+        state, _ = run_svi(SviConfig(iterations=3, kappa=0.5, h0=2, h=3, variant=variant, seed=1), seq)
+        sv.save_state(state, tmp_path / "state.json")
+        back = sv.load_state(tmp_path / "state.json")
+        assert (state.eta_eps is None) == (variant != "RANDOM")
+        for f in dataclasses.fields(state):
+            mine, theirs = getattr(state, f.name), getattr(back, f.name)
+            if isinstance(mine, np.ndarray):
+                assert theirs.shape == mine.shape and theirs.dtype == mine.dtype, f.name
+                np.testing.assert_array_equal(theirs.view(np.int64), mine.view(np.int64), err_msg=f.name)
+            else:
+                assert theirs == mine and type(theirs) is type(mine), f.name
