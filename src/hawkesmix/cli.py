@@ -37,15 +37,13 @@ from .events import load_events, save_events
 from .files import write_json, write_table
 from .likelihood import save_branching
 from .lobster import IngestConfig, build_event_sequence, parse_messages, read_orderbook_quotes
-from .mcmc import McmcConfig, run_chain, save_samples
+from .mcmc import McmcConfig, load_samples, run_chain, save_samples
 from .metrics import (
-    CurveSamples,
     GridSpec,
-    coverage_acr,
+    band_metrics,
     curve_samples_from_draws,
     evaluate_truth,
-    interval_score,
-    rmise,
+    excitation_bands,
     save_bands,
     save_spectral_histogram,
     spectral_histogram,
@@ -57,7 +55,7 @@ from .simulate import (
     benchmark_exponential_params,
     simulate_branching,
 )
-from .svi import SviConfig, run_svi, sample_from_variational, save_state, save_trace
+from .svi import SviConfig, load_state, run_svi, sample_from_variational, save_state, save_trace
 
 
 def _task_seed(base_seed: int, *key: int) -> int:
@@ -271,23 +269,16 @@ def _truth_evaluator(truth_path: Path):
     return params_from_dict(doc).excitation.density
 
 
-def _mcmc_curves(run_dir: Path, cfg: McmcConfig, grid: GridSpec, max_draws: int) -> tuple[CurveSamples, np.ndarray]:
-    from .mcmc import load_samples
-
-    samples = load_samples(run_dir / "samples.csv", cfg)
-    step = max(1, samples.n_draws // max_draws)
-    sel = slice(0, None, step)
-    draws = {k: v[sel] for k, v in samples.kernel_draws().items()}
-    return curve_samples_from_draws(draws, cfg.t0, grid), samples.alpha[sel]
-
-
-def _svi_curves(run_dir: Path, grid: GridSpec, n_draws: int, seed: int) -> tuple[CurveSamples, np.ndarray]:
-    from .svi import load_state
-
-    state = load_state(run_dir / "state.json")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    draws = sample_from_variational(state, n_draws, rng)
-    return curve_samples_from_draws(draws, state.t0, grid), draws["alpha"]
+def _fit_draws(run_dir: Path, engine: str, fit_config: dict, n_draws: int, seed: int) -> dict[str, np.ndarray]:
+    """Parameter draws of a fit under :func:`sample_from_variational`'s keys:
+    ``n_draws`` variational draws, or the sampler's retained draws thinned by
+    the smallest integer step that keeps at most ``n_draws`` of them."""
+    if engine == "svi":
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        return sample_from_variational(load_state(run_dir / "state.json"), n_draws, rng)
+    samples = load_samples(run_dir / "samples.csv", _config(McmcConfig, fit_config))
+    step = -(-samples.n_draws // n_draws)
+    return {k: v[::step] for k, v in dict(samples.kernel_draws(), mu=samples.mu, alpha=samples.alpha).items()}
 
 
 def cmd_evaluate(config: dict, out_dir: Path, seed: int, threads: int) -> list[dict]:
@@ -299,7 +290,8 @@ def cmd_evaluate(config: dict, out_dir: Path, seed: int, threads: int) -> list[d
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def evaluate(index: int, label: str, truth_json: Path):
-        """Metrics of the dataset's selected fit, on that fit's kernel support."""
+        """Metrics of the dataset's selected fit, on that fit's kernel support,
+        with its bands, grid and alpha draws."""
         parts = label.replace("\\", "/").split("/")
         eps_true = parts[0].removeprefix("eps") if parts[0].startswith("eps") else ""
         selected = json.loads((fits / label / "selected.json").read_text())
@@ -307,22 +299,17 @@ def cmd_evaluate(config: dict, out_dir: Path, seed: int, threads: int) -> list[d
         fit_config = json.loads((run_dir / "run.json").read_text())["config"]
         engine, variant = selected["engine"], fit_config["variant"]
         grid = GridSpec(grid_points, float(fit_config["t0"]))
-        if engine == "mcmc":
-            curves, alpha_draws = _mcmc_curves(run_dir, _config(McmcConfig, fit_config), grid, n_draws)
-        else:
-            curves, alpha_draws = _svi_curves(run_dir, grid, n_draws, _task_seed(seed, 2, index))
+        draws = _fit_draws(run_dir, engine, fit_config, n_draws, _task_seed(seed, 2, index))
+        curves = curve_samples_from_draws(draws, grid.T0, grid)
         truth = evaluate_truth(_truth_evaluator(truth_json), curves.K, grid)
-        vals = {
-            "rmise": rmise(truth, curves),
-            "acr": coverage_acr(curves, truth, level),
-            "interval_score": interval_score(curves, truth, level),
-        }
-        return [(engine, variant, eps_true, label, m, v) for m, v in vals.items()], curves, alpha_draws
+        bands = excitation_bands(curves, level)
+        vals = band_metrics(truth, bands, grid, level)
+        return [(engine, variant, eps_true, label, m, v) for m, v in vals.items()], bands, grid, draws["alpha"]
 
-    # one task per dataset, run here in turn: only the first fit's curves are kept
+    # one task per dataset, run here in turn: only the first fit's bands are kept
     tasks: list[dict] = []
     rows: list[tuple] = []
-    first: tuple[CurveSamples, np.ndarray] | None = None
+    first: tuple[dict[str, np.ndarray], GridSpec, np.ndarray] | None = None
     for index, (label, ds) in enumerate(_dataset_paths(corpus)):
         entry, result = _run_task(f"evaluate {label}", evaluate, index, label, ds.parent / "truth.json")
         tasks.append(entry)
@@ -340,8 +327,9 @@ def cmd_evaluate(config: dict, out_dir: Path, seed: int, threads: int) -> list[d
                for (engine, variant, m), v in values.items()]
     write_table(out_dir / "summary.csv", ["method", "variant", "metric", "mean", "sd", "n"], list(zip(*summary)))
     if first is not None:
-        save_bands(out_dir / "bands.csv", first[0], level)
-        save_spectral_histogram(out_dir / "spectral_histogram.csv", spectral_histogram(first[1]))
+        bands, grid, alpha_draws = first
+        save_bands(out_dir / "bands.csv", bands, grid)
+        save_spectral_histogram(out_dir / "spectral_histogram.csv", spectral_histogram(alpha_draws))
     return tasks
 
 

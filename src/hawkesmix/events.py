@@ -69,16 +69,16 @@ class EventSequence:
         return EventSequence(self.times[lo:hi].copy(), self.dims[lo:hi].copy(), self.T, self.K)
 
 
-def save_events(seq: EventSequence, csv_path: str | Path, meta_path: str | Path | None = None) -> None:
+def save_events(seq: EventSequence, csv_path: str | Path) -> None:
     """Write a sequence as a ``t,d`` table plus a ``{T, K}`` JSON sidecar.
 
     Dimension codes are written 1-based.
     """
     write_table(csv_path, ["t", "d"], [seq.times, seq.dims + 1])
-    write_json(meta_path or Path(csv_path).with_suffix(".json"), {"T": seq.T, "K": seq.K})
+    write_json(Path(csv_path).with_suffix(".json"), {"T": seq.T, "K": seq.K})
 
 
-def load_events(csv_path: str | Path, meta_path: str | Path | None = None) -> EventSequence:
+def load_events(csv_path: str | Path) -> EventSequence:
     """Read a sequence written by :func:`save_events`."""
     header, table = read_table(csv_path)
     if [c.strip() for c in header[:2]] != ["t", "d"]:
@@ -86,5 +86,5 @@ def load_events(csv_path: str | Path, meta_path: str | Path | None = None) -> Ev
     dims = table[:, 1].astype(np.int64)
     if np.any(dims != table[:, 1]):
         raise ValueError("dimension codes must be integers")
-    meta = json.loads(Path(meta_path or Path(csv_path).with_suffix(".json")).read_text())
+    meta = json.loads(Path(csv_path).with_suffix(".json").read_text())
     return EventSequence(table[:, 0], dims - 1, meta["T"], meta["K"])

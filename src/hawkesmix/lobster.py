@@ -84,10 +84,11 @@ class IngestConfig:
     """Session window, volume floor, and level filter.
 
     ``session_start``/``session_end`` are seconds after midnight (defaults
-    9:30:00 and 16:00:00). Level filtering keeps events whose price matches
-    the prevailing best quote on their side; it needs the orderbook file and
-    is skipped with a logged caveat when none is supplied. Hidden executions
-    join the market-order group unless ``include_hidden`` is off.
+    9:30:00 and 16:00:00). Level filtering (``level`` 1; 0 turns it off) keeps
+    events whose price matches the prevailing best quote on their side; it
+    needs the orderbook file and is skipped with a logged caveat when none is
+    supplied. Hidden executions join the market-order group unless
+    ``include_hidden`` is off.
     """
 
     session_start: float = 9.5 * 3600.0
@@ -101,6 +102,8 @@ class IngestConfig:
             raise ValueError("session_start must precede session_end")
         if self.min_volume < 0:
             raise ValueError("min_volume must be nonnegative")
+        if self.level not in (0, 1):
+            raise ValueError(f"level must be 0 (no filter) or 1 (best quotes), not {self.level!r}")
 
     def dimension_of(self, event_type: np.ndarray, direction: np.ndarray) -> np.ndarray:
         """1-based output dimension per message, 0 to drop it (scalars or arrays)."""

@@ -17,7 +17,6 @@ import numpy as np
 
 from .files import write_table
 from .kernels import beta_log_coefs, lag_design
-from .likelihood import spectral_radius
 
 
 @dataclass(frozen=True)
@@ -97,30 +96,22 @@ def evaluate_truth(truth: Callable[[int, int, np.ndarray], np.ndarray], K: int, 
     return out
 
 
+def _rmise(truth: np.ndarray, mean: np.ndarray, spacing: float) -> float:
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != mean.shape:
+        raise ValueError("truth grid does not match the sample grid")
+    per_pair = np.sqrt(np.sum((truth - mean) ** 2, axis=-1) * spacing)
+    return float(per_pair.sum() / mean.shape[0] ** 2)
+
+
 def rmise(truth: np.ndarray, samples: CurveSamples) -> float:
     """Mean over pairs of the root integrated squared error of the mean curve."""
-    truth = np.asarray(truth, dtype=float)
-    if truth.shape != samples.values.shape[1:]:
-        raise ValueError("truth grid does not match the sample grid")
-    est = samples.values.mean(axis=0)
-    per_pair = np.sqrt(np.sum((truth - est) ** 2, axis=-1) * samples.grid.spacing)
-    return float(per_pair.sum() / samples.K ** 2)
-
-
-def _quantile_bands(samples: CurveSamples, level: float) -> tuple[np.ndarray, np.ndarray]:
-    if samples.n_draws < 2:
-        raise ValueError("need at least 2 draws for interval summaries")
-    tail = (1.0 - level) / 2.0
-    lo = np.quantile(samples.values, tail, axis=0, method="linear")
-    hi = np.quantile(samples.values, 1.0 - tail, axis=0, method="linear")
-    return lo, hi
+    return _rmise(truth, samples.values.mean(axis=0), samples.grid.spacing)
 
 
 def coverage_acr(samples: CurveSamples, truth: np.ndarray, level: float = 0.95) -> float:
     """Fraction of (pair, grid) cells whose closed interval covers the truth."""
-    truth = np.asarray(truth, dtype=float)
-    lo, hi = _quantile_bands(samples, level)
-    return float(np.mean((truth >= lo) & (truth <= hi)))
+    return band_metrics(truth, excitation_bands(samples, level), samples.grid, level)["acr"]
 
 
 def interval_score(samples: CurveSamples, truth: np.ndarray, level: float = 0.95) -> float:
@@ -129,27 +120,42 @@ def interval_score(samples: CurveSamples, truth: np.ndarray, level: float = 0.95
     Width accrues always; a miss adds ``2/alpha`` times its distance, with
     ``alpha`` the total tail mass.
     """
+    return band_metrics(truth, excitation_bands(samples, level), samples.grid, level)["interval_score"]
+
+
+def excitation_bands(samples: CurveSamples, level: float = 0.95) -> dict[str, np.ndarray]:
+    """Pointwise mean and equal-tailed quantile curves per pair, plot-ready."""
+    if samples.n_draws < 2:
+        raise ValueError("need at least 2 draws for interval summaries")
+    tail = (1.0 - level) / 2.0
+    return {"mean": samples.values.mean(axis=0),
+            "lower": np.quantile(samples.values, tail, axis=0, method="linear"),
+            "upper": np.quantile(samples.values, 1.0 - tail, axis=0, method="linear")}
+
+
+def band_metrics(truth: np.ndarray, bands: dict[str, np.ndarray], grid: GridSpec,
+                 level: float = 0.95) -> dict[str, float]:
+    """:func:`rmise`, :func:`coverage_acr` and :func:`interval_score` of the
+    samples behind one :func:`excitation_bands` result."""
     truth = np.asarray(truth, dtype=float)
-    lo, hi = _quantile_bands(samples, level)
+    lo, hi = bands["lower"], bands["upper"]
     alpha = 1.0 - level
     score = (hi - lo) \
         + (2.0 / alpha) * np.maximum(lo - truth, 0.0) \
         + (2.0 / alpha) * np.maximum(truth - hi, 0.0)
-    return float(np.mean(score))
-
-
-def excitation_bands(samples: CurveSamples, level: float = 0.95) -> dict[str, np.ndarray]:
-    """Pointwise mean and quantile curves per pair, plot-ready."""
-    lo, hi = _quantile_bands(samples, level)
-    return {"mean": samples.values.mean(axis=0), "lower": lo, "upper": hi}
+    return {"rmise": _rmise(truth, bands["mean"], grid.spacing),
+            "acr": float(np.mean((truth >= lo) & (truth <= hi))),
+            "interval_score": float(np.mean(score))}
 
 
 def spectral_histogram(alpha_draws: np.ndarray, bins: int = 50) -> dict[str, np.ndarray | float]:
     """Histogram of per-draw spectral radii plus the fraction below 1."""
     alpha_draws = np.asarray(alpha_draws, dtype=float)
-    if alpha_draws.ndim != 3 or alpha_draws.shape[0] < 1:
-        raise ValueError("need at least one K x K draw")
-    radii = np.array([spectral_radius(a) for a in alpha_draws])
+    if alpha_draws.ndim != 3 or alpha_draws.shape[0] < 1 or alpha_draws.shape[1] != alpha_draws.shape[2]:
+        raise ValueError("need at least one square K x K draw")
+    if not np.all(np.isfinite(alpha_draws)):
+        raise ValueError("alpha entries must be finite")
+    radii = np.abs(np.linalg.eigvals(alpha_draws)).max(axis=1, initial=0.0)
     counts, edges = np.histogram(radii, bins=bins)
     return {
         "radii": radii,
@@ -163,12 +169,11 @@ def spectral_histogram(alpha_draws: np.ndarray, bins: int = 50) -> dict[str, np.
 # Tables
 # ---------------------------------------------------------------------------
 
-def save_bands(path: str | Path, samples: CurveSamples, level: float = 0.95) -> None:
-    """Band table: one row per (parent, child, grid point)."""
-    bands = excitation_bands(samples, level)
+def save_bands(path: str | Path, bands: dict[str, np.ndarray], grid: GridSpec) -> None:
+    """Band table of an :func:`excitation_bands` result: one row per (parent, child, grid point)."""
     parent, child, g = np.indices(bands["mean"].shape).reshape(3, -1)
     write_table(path, ["parent", "child", "t", "mean", "lower", "upper"],
-                [parent + 1, child + 1, samples.grid.points[g],
+                [parent + 1, child + 1, grid.points[g],
                  bands["mean"].ravel(), bands["lower"].ravel(), bands["upper"].ravel()])
 
 

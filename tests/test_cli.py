@@ -251,6 +251,83 @@ class TestFitAndEvaluate:
             assert float(r[5]) == pytest.approx(expected[r[4]], rel=1e-12)
 
 
+@pytest.fixture
+def two_fits(tmp_path):
+    """Two simulated datasets, each with one 9-draw sampler fit and one
+    variational fit: (corpus, {engine: fits directory})."""
+    cfg = _write_config(tmp_path / "sim.json", {
+        "scenario": {"kind": "beta", "eps_grid": [0.5], "T": 150.0}, "replications": 2, "seed": 5,
+    })
+    corpus = tmp_path / "corpus"
+    assert main(["simulate", "--config", cfg, "--output", str(corpus), "--threads", "1"]) == 0
+    fits = {}
+    for engine, section in (("mcmc", {"iterations": 19, "burn_in": 10, "h0": 2, "h": 2}),
+                            ("svi", {"iterations": 20, "h0": 2, "h": 2})):
+        fits[engine] = tmp_path / f"fits-{engine}"
+        fit_cfg = _write_config(tmp_path / f"{engine}.json", {"data": str(corpus), engine: section, "seed": 4})
+        assert main([f"fit-{engine}", "--config", fit_cfg, "--output", str(fits[engine]), "--threads", "1"]) == 0
+    return corpus, fits
+
+
+def _evaluate(tmp_path, corpus, fits, **settings):
+    cfg = _write_config(tmp_path / "eval.json", dict(corpus=str(corpus), fits=str(fits), grid_points=32, seed=3,
+                                                     **settings))
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", cfg, "--output", str(out), "--threads", "1"]) == 0
+    return out
+
+
+class TestEvaluateOnePass:
+    @pytest.mark.parametrize("eval_draws,kept", [(5, 5), (4, 3), (3, 3), (9, 9), (500, 9)])
+    def test_sampler_draws_capped_at_eval_draws(self, two_fits, tmp_path, eval_draws, kept):
+        """9 retained draws thinned by the smallest step keeping at most eval_draws."""
+        corpus, fits = two_fits
+        out = _evaluate(tmp_path, corpus, fits["mcmc"], eval_draws=eval_draws)
+        rows = [line.split(",") for line in (out / "spectral_histogram.csv").read_text().splitlines()[1:-1]]
+        assert sum(int(r[2]) for r in rows) == kept
+
+    @pytest.mark.parametrize("engine", ["mcmc", "svi"])
+    def test_one_quantile_pass_per_dataset(self, two_fits, tmp_path, monkeypatch, engine):
+        from hawkesmix import cli
+
+        corpus, fits = two_fits
+        calls = []
+        quantile, curves = np.quantile, cli.curve_samples_from_draws
+        monkeypatch.setattr(np, "quantile", lambda *a, **kw: calls.append("quantile") or quantile(*a, **kw))
+        monkeypatch.setattr(cli, "curve_samples_from_draws",
+                            lambda *a, **kw: calls.append("curves") or curves(*a, **kw))
+        _evaluate(tmp_path, corpus, fits[engine], eval_draws=5)
+        assert calls == ["curves", "quantile", "quantile"] * 2
+
+    @pytest.mark.parametrize("engine", ["mcmc", "svi"])
+    def test_written_values_equal_public_functions(self, two_fits, tmp_path, monkeypatch, engine):
+        """metrics.csv and bands.csv hold the public metric and band values of
+        the evaluated curves, bit for bit."""
+        from hawkesmix import cli, load_params
+        from hawkesmix.metrics import coverage_acr, evaluate_truth, excitation_bands, interval_score, rmise
+
+        corpus, fits = two_fits
+        made = []
+        curves = cli.curve_samples_from_draws
+        monkeypatch.setattr(cli, "curve_samples_from_draws", lambda *a: made.append(curves(*a)) or made[-1])
+        out = _evaluate(tmp_path, corpus, fits[engine], eval_draws=5, level=0.9)
+        rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+        assert len(made) == 2 and len(rows) == 6
+        for rep, samples in enumerate(made):
+            density = load_params(corpus / "eps0.5" / f"rep{rep}" / "truth.json").excitation.density
+            truth = evaluate_truth(density, samples.K, samples.grid)
+            expected = {"rmise": rmise(truth, samples), "acr": coverage_acr(samples, truth, 0.9),
+                        "interval_score": interval_score(samples, truth, 0.9)}
+            written = {r[4]: float(r[5]) for r in rows if r[3] == f"eps0.5/rep{rep}"}
+            assert written == expected
+        bands = excitation_bands(made[0], 0.9)
+        table = np.loadtxt(out / "bands.csv", delimiter=",", skiprows=1)
+        parent, child, g = np.indices(bands["mean"].shape).reshape(3, -1)
+        np.testing.assert_array_equal(table[:, :3], np.column_stack([parent + 1, child + 1, made[0].grid.points[g]]))
+        for col, name in enumerate(("mean", "lower", "upper"), start=3):
+            assert table[:, col].tobytes() == bands[name].ravel().tobytes()
+
+
 class TestIngestCommand:
     def test_end_to_end(self, tmp_path):
         cfg = _write_config(tmp_path / "ingest.json", {
@@ -264,6 +341,17 @@ class TestIngestCommand:
         np.testing.assert_array_equal(seq.counts(), [13, 10, 8, 9])
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["events"] == 40
+
+    def test_level_other_than_0_or_1_fails_the_task(self, tmp_path):
+        cfg = _write_config(tmp_path / "ingest.json", {
+            "ingest": {"messages": str(DATA / "lobster_messages_50.csv"), "level": 2},
+        })
+        out = tmp_path / "ingested"
+        assert main(["ingest", "--config", cfg, "--output", str(out)]) == 1
+        [task] = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert task["status"] == "failed"
+        assert "Traceback (most recent call last):" in task["error"] and "ValueError: level" in task["error"]
+        assert not (out / "events.csv").exists()
 
     def test_unknown_key_fails_the_task(self, tmp_path):
         cfg = _write_config(tmp_path / "ingest.json", {

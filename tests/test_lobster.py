@@ -145,6 +145,13 @@ class TestBuildSequence:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestIngestConfig:
+    @pytest.mark.parametrize("level", [2, -1])
+    def test_level_must_be_0_or_1(self, level):
+        with pytest.raises(ValueError, match="level"):
+            IngestConfig(level=level)
+
+
 class TestOrderbookAlignment:
     """LOBSTER orderbooks have a row per raw message row, malformed rows
     included; quotes are then selected by each message's raw row."""

@@ -171,6 +171,19 @@ class TestSpectralHistogram:
         f200 = spectral_histogram(draws, bins=200)["stationary_fraction"]
         assert f10 == f200
 
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_radii_equal_per_draw_spectral_radius(self, rng, K):
+        from hawkesmix import spectral_radius
+
+        draws = rng.gamma(1.0, 0.4, size=(200, K, K))
+        radii = spectral_histogram(draws)["radii"]
+        assert radii.tobytes() == np.array([spectral_radius(a) for a in draws]).tobytes()
+
+    @pytest.mark.parametrize("draws", [np.ones((3, 2, 3)), np.full((2, 2, 2), np.nan), np.ones((0, 2, 2))])
+    def test_bad_draws_rejected(self, draws):
+        with pytest.raises(ValueError):
+            spectral_histogram(draws)
+
 
 class TestCurveEvaluation:
     def test_matches_direct_density(self, rng):
